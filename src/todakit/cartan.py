@@ -9,6 +9,7 @@ against exact Gauss-Jordan inversion in the test suite rather than trusted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,8 +28,14 @@ class CartanMatrix:
     inverse: np.ndarray
 
 
+@functools.lru_cache(maxsize=None)
 def cartan_matrix(tag: SeriesTag) -> CartanMatrix:
-    """Assemble the series' Cartan matrix and invert it exactly."""
+    """Assemble the series' Cartan matrix and invert it exactly.
+
+    The result is computed once per tag and cached, so every call with an
+    equal tag returns the same object.  Its ``matrix`` and ``inverse`` are
+    read-only; a caller that needs to change one should ``.copy()`` it first.
+    """
     r = tag.rank
     k = rzeros(r, r)
     for i in range(r):
@@ -45,7 +52,10 @@ def cartan_matrix(tag: SeriesTag) -> CartanMatrix:
         k[r - 1, r - 2] = Fraction(0)
         k[r - 3, r - 1] = Fraction(-1)
         k[r - 1, r - 3] = Fraction(-1)
-    return CartanMatrix(tag, k, rmat_inverse(k))
+    inverse = rmat_inverse(k)
+    k.setflags(write=False)
+    inverse.setflags(write=False)
+    return CartanMatrix(tag, k, inverse)
 
 
 def cartan_inverse_closed_form(tag: SeriesTag, i: int, j: int) -> Rational:

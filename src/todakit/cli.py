@@ -109,11 +109,29 @@ def json_to_matrix(data, shape: tuple[int, ...], what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.shape != shape + (2,):
         raise ValueError(f"{what}: expected shape {shape} of [re, im] pairs, got {arr.shape[:-1]}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what}: non-finite value")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
 # ---------------------------------------------------------------------------
 # file formats
+
+
+def _require(doc: dict, key: str, what: str):
+    """``doc[key]``, or a ValueError naming the missing key."""
+    if key not in doc:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return doc[key]
+
+
+def _block_list(doc: dict, key: str, count: int, what: str) -> list:
+    """``doc[key]`` checked to be a list of ``count`` per-block entries."""
+    raw = _require(doc, key, what)
+    if not isinstance(raw, list) or len(raw) != count:
+        got = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ValueError(f"{what}: {key} must list {count} blocks, got {got}")
+    return raw
 
 
 def system_to_document(system: TodaSystem, c: CBlocks, metadata: dict | None = None) -> dict:
@@ -133,13 +151,14 @@ def system_to_document(system: TodaSystem, c: CBlocks, metadata: dict | None = N
 def system_from_document(doc: dict) -> tuple[TodaSystem, CBlocks]:
     if doc.get("kind") != "toda-system":
         raise ValueError("not a toda-system document")
-    tag = SeriesTag(doc["series"], int(doc["rank"]))
-    system = build_system(tag, [int(k) for k in doc["blocks"]])
+    what = "toda-system"
+    tag = SeriesTag(_require(doc, "series", what), int(_require(doc, "rank", what)))
+    system = build_system(tag, [int(k) for k in _require(doc, "blocks", what)])
     sizes = system.blocks.sizes
     p = system.blocks.count
 
     def family(key: str, sign: str):
-        raw = doc[key]
+        raw = _require(doc, key, what)
         if len(raw) not in (p - 1, system.independent_c_count):
             raise ValueError(
                 f"{key}: expected {system.independent_c_count} or {p - 1} blocks, got {len(raw)}"
@@ -165,11 +184,13 @@ def _grid_spec_to_json(spec: GridSpec) -> dict:
     }
 
 
-def _grid_spec_from_json(doc: dict) -> GridSpec:
+def _grid_spec_from_json(doc) -> GridSpec:
+    if not isinstance(doc, dict):
+        raise ValueError("grid: expected a JSON object")
+    starts_and_steps = ("z_minus_start", "z_plus_start", "h_minus", "h_plus")
     return GridSpec(
-        float(doc["z_minus_start"]), float(doc["z_plus_start"]),
-        float(doc["h_minus"]), float(doc["h_plus"]),
-        int(doc["n_minus"]), int(doc["n_plus"]),
+        *(float(_require(doc, key, "grid")) for key in starts_and_steps),
+        *(int(_require(doc, key, "grid")) for key in ("n_minus", "n_plus")),
     )
 
 
@@ -188,22 +209,19 @@ def grid_to_document(system: TodaSystem, field: GridField) -> dict:
 def grid_from_document(doc: dict, system: TodaSystem) -> GridField:
     if doc.get("kind") != "toda-grid":
         raise ValueError("not a toda-grid document")
-    if doc["series"] != system.tag.series or int(doc["rank"]) != system.tag.rank:
+    what = "toda-grid"
+    if (_require(doc, "series", what) != system.tag.series
+            or int(_require(doc, "rank", what)) != system.tag.rank):
         raise ValueError("grid file does not match the system file's series/rank")
-    if [int(k) for k in doc["blocks"]] != list(system.blocks.sizes):
+    if [int(k) for k in _require(doc, "blocks", what)] != list(system.blocks.sizes):
         raise ValueError("grid file block sizes do not match the system file")
-    spec = _grid_spec_from_json(doc["grid"])
+    spec = _grid_spec_from_json(_require(doc, "grid", what))
     sizes = system.blocks.sizes
-    betas = []
-    for a, entry in enumerate(doc["betas"]):
-        k = sizes[a]
-        betas.append(
-            json_to_matrix(entry, (spec.n_minus, spec.n_plus, k, k), f"betas[{a}]")
-        )
-    if len(betas) != system.independent_beta_count:
-        raise ValueError(
-            f"expected {system.independent_beta_count} independent blocks, got {len(betas)}"
-        )
+    raw = _block_list(doc, "betas", system.independent_beta_count, what)
+    betas = [
+        json_to_matrix(entry, (spec.n_minus, spec.n_plus, sizes[a], sizes[a]), f"betas[{a}]")
+        for a, entry in enumerate(raw)
+    ]
     return GridField(spec, tuple(betas))
 
 
@@ -222,21 +240,28 @@ def boundary_to_document(system: TodaSystem, data: CharacteristicData) -> dict:
 def boundary_from_document(doc: dict, system: TodaSystem) -> CharacteristicData:
     if doc.get("kind") != "toda-boundary":
         raise ValueError("not a toda-boundary document")
-    if [int(k) for k in doc["blocks"]] != list(system.blocks.sizes):
+    what = "toda-boundary"
+    if [int(k) for k in _require(doc, "blocks", what)] != list(system.blocks.sizes):
         raise ValueError("boundary file block sizes do not match the system file")
-    spec = _grid_spec_from_json(doc["grid"])
+    spec = _grid_spec_from_json(_require(doc, "grid", what))
     sizes = system.blocks.sizes
+    count = system.independent_beta_count
+    raw_left = _block_list(doc, "left", count, what)
+    raw_bottom = _block_list(doc, "bottom", count, what)
     left, bottom = [], []
-    for a in range(system.independent_beta_count):
+    for a in range(count):
         k = sizes[a]
-        left.append(json_to_matrix(doc["left"][a], (spec.n_minus, k, k), f"left[{a}]"))
-        bottom.append(json_to_matrix(doc["bottom"][a], (spec.n_plus, k, k), f"bottom[{a}]"))
+        left.append(json_to_matrix(raw_left[a], (spec.n_minus, k, k), f"left[{a}]"))
+        bottom.append(json_to_matrix(raw_bottom[a], (spec.n_plus, k, k), f"bottom[{a}]"))
     return CharacteristicData(spec, tuple(left), tuple(bottom))
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _write_text(path: str, text: str):

@@ -98,14 +98,6 @@ def rat_to_float(x: Fraction) -> float:
     return float(x)
 
 
-def rmat_to_float(a: np.ndarray) -> np.ndarray:
-    return a.astype(float)
-
-
-def rmat_to_complex(a: np.ndarray) -> np.ndarray:
-    return a.astype(float).astype(complex)
-
-
 def rmat_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Exact entrywise equality."""
     return a.shape == b.shape and bool(np.all(a == b))

@@ -339,12 +339,12 @@ def graded_decomposition(op: GradingOperator) -> GradedDecomposition:
     mirror for B/C/D), so its degree is the integer level difference of the
     two blocks involved.
     """
-    blocks = op.blocks
+    level_of = [
+        level for size, level in zip(op.blocks.sizes, op.levels) for _ in range(size)
+    ]
     subspaces: dict[int, list[np.ndarray]] = {}
     for elem, (i, j) in algebra_basis_with_positions(op.tag):
-        a = blocks.block_of_index(i)
-        b = blocks.block_of_index(j)
-        degree = op.levels[a - 1] - op.levels[b - 1]
+        degree = level_of[i - 1] - level_of[j - 1]
         if degree.denominator != 1:
             raise GradationError("internal inconsistency: non-integer degree")
         subspaces.setdefault(int(degree), []).append(elem)
@@ -377,12 +377,8 @@ def levi_type(blocks: BlockStructure) -> LeviType:
 
 
 def _to_sparse(mat: np.ndarray) -> dict[tuple[int, int], Fraction]:
-    out = {}
-    for (i, j), value in np.ndenumerate(mat):
-        frac = Fraction(value) if not isinstance(value, Fraction) else value
-        if frac != 0:
-            out[(i, j)] = frac
-    return out
+    rows, cols = np.nonzero(mat)
+    return {(i, j): Fraction(mat[i, j]) for i, j in zip(rows.tolist(), cols.tolist())}
 
 
 def _reduce_against(vec: dict, pivots: dict) -> dict:
@@ -407,7 +403,10 @@ def exact_span_contains(basis: list[np.ndarray], mat: np.ndarray) -> bool:
     """Exact rational test of membership of mat in the span of basis.
 
     Gaussian elimination over Fractions on sparse coordinate vectors; no
-    floating point is involved.
+    floating point is involved.  The matrices may be integer arrays, object
+    arrays of ``Fraction`` (or ints) or float arrays; each float is taken at
+    its exact binary value.  Only the nonzero entries are read, so the cost
+    is proportional to the nonzero entries, not to the matrix size.
     """
     pivots: dict[tuple[int, int], dict] = {}
     for b in basis:

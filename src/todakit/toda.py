@@ -386,9 +386,6 @@ class GridField:
     spec: GridSpec
     betas: tuple[np.ndarray, ...]
 
-    def max_condition(self) -> float:
-        return max(float(np.max(np.linalg.cond(b))) for b in self.betas)
-
 
 def field_from_closure(system: TodaSystem, spec: GridSpec, closure) -> GridField:
     """Sample ``closure(z_minus, z_plus) -> [independent blocks]`` on the grid."""

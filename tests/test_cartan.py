@@ -76,3 +76,13 @@ def test_low_rank_edges():
     assert cartan_matrix(SeriesTag("A", 1)).matrix.tolist() == [[2]]
     assert cartan_matrix(SeriesTag("C", 1)).matrix.tolist() == [[2]]
     assert cartan_inverse_closed_form(SeriesTag("C", 1), 1, 1) == Fraction(1, 2)
+
+
+def test_cached_per_tag_and_read_only():
+    km = cartan_matrix(SeriesTag("B", 3))
+    assert cartan_matrix(SeriesTag("B", 3)) is km
+    with pytest.raises(ValueError):
+        km.matrix[0, 0] = Fraction(5)
+    with pytest.raises(ValueError):
+        km.inverse[0, 0] = Fraction(5)
+    assert km.matrix[0, 0] == 2 and km.inverse[0, 0] == 1

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import todakit as tk
 from todakit.cli import (
@@ -184,6 +185,37 @@ def test_solve_non_convergence_exit_code(tmp_path, capsys):
     assert main(["solve", "--system", str(system_file), "--boundary", str(boundary_file),
                  "--out", str(tmp_path / "x.json")]) == 5
     assert "error[no-convergence]" in capsys.readouterr().err
+
+
+def _drop_grid(doc):
+    del doc["grid"]
+    return doc
+
+
+def _short_left(doc):
+    doc["left"] = doc["left"][:1]
+    return doc
+
+
+def _nan_sample(doc):
+    doc["left"][0][2][0][0][0] = float("nan")
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [
+    _drop_grid,
+    lambda doc: [doc],
+    _short_left,
+    _nan_sample,
+], ids=["missing-grid", "top-level-array", "short-left", "nan-sample"])
+def test_solve_malformed_boundary_is_invalid_input(tmp_path, capsys, mutate):
+    doc = mutate(json.loads((GOLDEN / "boundary_liouville_9x9.json").read_text()))
+    boundary_file = tmp_path / "boundary.json"
+    boundary_file.write_text(json.dumps(doc))
+    assert main(["solve", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--boundary", str(boundary_file), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[input]"), err
 
 
 def test_missing_file_exit_code(capsys):

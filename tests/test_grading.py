@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todakit.exact import rmat_equal
 from todakit.grading import (
@@ -18,7 +20,13 @@ from todakit.grading import (
     operator_from_labels,
     operator_matrix_from_labels,
 )
-from todakit.liealg import SeriesTag, algebra_membership, commutator, dr_automorphism
+from todakit.liealg import (
+    SeriesTag,
+    algebra_basis_with_positions,
+    algebra_membership,
+    commutator,
+    dr_automorphism,
+)
 
 
 def _random_labels(tag, rng):
@@ -222,3 +230,71 @@ def test_span_helper():
     basis = [np.array([[1, 0], [0, 0]]), np.array([[0, 1], [1, 0]])]
     assert exact_span_contains(basis, np.array([[2, 3], [3, 0]]))
     assert not exact_span_contains(basis, np.array([[0, 1], [0, 0]]))
+
+
+def _stacked_rank(mats) -> int:
+    if not mats:
+        return 0
+    return int(np.linalg.matrix_rank(np.stack([m.ravel() for m in mats]).astype(float)))
+
+
+_small_int_matrix = st.lists(st.integers(-2, 2), min_size=6, max_size=6).map(
+    lambda entries: np.array(entries, dtype=np.int64).reshape(2, 3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis=st.lists(_small_int_matrix, max_size=5), target=_small_int_matrix)
+def test_span_contains_agrees_with_rank(basis, target):
+    expected = _stacked_rank(basis + [target]) == _stacked_rank(basis)
+    assert exact_span_contains(basis, target) == expected
+
+
+def test_span_fraction_and_float_inputs():
+    def unit(i, j, value):
+        mat = np.empty((3, 3), dtype=object)
+        mat[:, :] = Fraction(0)
+        mat[i, j] = Fraction(value)
+        return mat
+
+    basis = [unit(0, 1, Fraction(3, 2)) + unit(2, 0, Fraction(-2, 7)), unit(1, 2, Fraction(5, 3))]
+    inside = Fraction(1, 3) * basis[0] + 7 * basis[1]
+    assert exact_span_contains(basis, inside)
+    assert not exact_span_contains(basis, unit(0, 1, Fraction(1, 9)))
+
+    floats = [np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.25], [0.75, 0.0]])]
+    assert exact_span_contains(floats, np.array([[1.5, -0.5], [-1.5, 0.0]]))
+    assert not exact_span_contains(floats, np.array([[0.0, 0.25], [0.5, 0.0]]))
+
+
+def test_span_empty_basis_and_zero_target():
+    zero = np.zeros((2, 2), dtype=np.int64)
+    assert exact_span_contains([], zero)
+    assert not exact_span_contains([], np.array([[0, 1], [0, 0]]))
+    assert exact_span_contains([np.array([[0, 1], [0, 0]])], zero)
+
+
+def _reference_decomposition(op) -> dict:
+    """Degrees looked up block by block, one searchsorted per index."""
+    subspaces: dict = {}
+    for elem, (i, j) in algebra_basis_with_positions(op.tag):
+        a = op.blocks.block_of_index(i)
+        b = op.blocks.block_of_index(j)
+        subspaces.setdefault(int(op.levels[a - 1] - op.levels[b - 1]), []).append(elem)
+    return subspaces
+
+
+@pytest.mark.parametrize("series", ["A", "B", "C", "D"])
+def test_decomposition_matches_block_lookup(series):
+    for rank in range({"A": 1, "B": 2, "C": 1, "D": 3}[series], 6):
+        tag = SeriesTag(series, rank)
+        for d in range(rank):
+            labels = DynkinLabels(tag, tuple(int(i == d) for i in range(rank)))
+            op = operator_from_labels(labels)
+            got = graded_decomposition(op).subspaces
+            expected = _reference_decomposition(op)
+            assert list(got) == list(expected), labels
+            for degree, elems in expected.items():
+                assert len(got[degree]) == len(elems)
+                for x, y in zip(got[degree], elems):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
