@@ -26,6 +26,7 @@ from .toda import (
     GridSpec,
     ResidualReport,
     TodaSystem,
+    _c_samples,
     block_residuals,
     build_system,
     make_c_blocks,
@@ -154,17 +155,12 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
                             float(np.max(np.abs(data.bottom[a])))))
         data_inv.append(inv_scale)
 
-    def c_minus_half(a: int) -> np.ndarray:
-        entry = c.minus[a - 1]
-        if entry.ndim == 2:
-            return entry
-        return 0.5 * (entry[:-1] + entry[1:])  # values at the row half-points
-
-    def c_plus_mid(a: int, j: int) -> np.ndarray:
-        entry = c.plus[a - 1]
-        if entry.ndim == 2:
-            return entry
-        return 0.5 * (entry[j] + entry[j + 1])
+    # couplings at the stations: C_- lines at the row half-points, C_+ lines at
+    # the column midpoints (picked by column in get_c)
+    c_half = {
+        sign: [e if e.ndim == 2 else 0.5 * (e[:-1] + e[1:]) for e in _c_samples(c, sign, lines)]
+        for sign, lines in (("-", ni), ("+", nj))
+    }
 
     def rhs_half(beta_cols: list[np.ndarray], j: int) -> list[np.ndarray]:
         """Right-hand sides at the (row half-point, column midpoint) stations."""
@@ -174,7 +170,8 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
             return beta_half[a - 1]
 
         def get_c(sign, a):
-            return c_minus_half(a) if sign == "-" else c_plus_mid(a, j)
+            entry = c_half[sign][a - 1]
+            return entry[j] if sign == "+" and entry.ndim == 3 else entry
 
         return [evaluate_rhs(eq, get_beta, get_c) for eq in equations]
 
@@ -250,10 +247,10 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
     characteristic (a pole of the solution), not a step-size problem.
     """
     for a, column in enumerate(columns):
-        magnitude = np.max(np.abs(column), axis=(-1, -2))
-        if not np.all(np.isfinite(column)):
-            i = int(np.argwhere(~np.isfinite(column).all(axis=(-1, -2)))[0][0])
+        i = _nonfinite_row(column)
+        if i is not None:
             raise BlowUpError(f"block {a + 1} lost finiteness while diverging", (i, j))
+        magnitude = np.max(np.abs(column), axis=(-1, -2))
         try:
             inv_mag = np.max(np.abs(np.linalg.inv(column)), axis=(-1, -2))
         except np.linalg.LinAlgError:
@@ -270,9 +267,15 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
             )
 
 
+def _nonfinite_row(column: np.ndarray) -> int | None:
+    """Index of the first sample along a column with a non-finite entry, if any."""
+    finite = np.isfinite(column).all(axis=(-1, -2))
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def _check_health(column: np.ndarray, block: int, j: int, cond_limit: float):
-    if not np.all(np.isfinite(column)):
-        i = int(np.argwhere(~np.isfinite(column).all(axis=(-1, -2)))[0][0])
+    i = _nonfinite_row(column)
+    if i is not None:
         raise BlowUpError(f"non-finite sample in block {block + 1}", (i, j))
     magnitude = np.max(np.abs(column), axis=(-1, -2))
     conds = np.linalg.cond(column)

@@ -161,75 +161,34 @@ def _coerce_entry(system, sign, a, value) -> np.ndarray:
     )
 
 
-def _complete_c_family(system: TodaSystem, sign: str, independent) -> list[np.ndarray]:
-    p = system.blocks.count
-    s = p // 2
-    cs = system.constraint_set
-    ind = [_coerce_entry(system, sign, a, independent[a - 1]) for a in range(1, len(independent) + 1)]
-    if cs == "A-none":
-        if len(ind) != p - 1:
-            raise ShapeError(f"expected {p - 1} coupling blocks, got {len(ind)}")
-        return ind
-    if len(ind) != s:
-        raise ShapeError(f"expected {s} independent coupling blocks, got {len(ind)}")
-    full: list = [None] * (p - 1)
-    for a in range(1, s + 1):
-        full[a - 1] = ind[a - 1]
-    if p % 2 == 1:
-        for a in range(1, s):
-            full[p - a - 1] = -_tt(ind[a - 1])
-        if cs == "BD-oddp":
-            full[p - s - 1] = -_tt(ind[s - 1])
-        else:  # C-oddp: central pair twisted by the small symplectic form
-            itld = antidiag_unit(system.blocks.sizes[s - 1]).astype(complex)
-            jf = symplectic_form(system.blocks.sizes[s] // 2).astype(complex)
-            if sign == "-":
-                full[s] = -(itld @ _plain_t(ind[s - 1]) @ jf)
-            else:
-                full[s] = jf @ _plain_t(ind[s - 1]) @ itld
-    else:
-        for a in range(1, s):
-            full[p - a - 1] = -_tt(ind[a - 1])
-        central = ind[s - 1]
-        expected = -_tt(central) if cs == "BD-evenp" else _tt(central)
-        if _max_abs(central - expected) > 1e-12 * (1.0 + _max_abs(central)):
-            raise ConstraintError(
-                f"central coupling C_{{{sign}{s}}} must be "
-                + ("T-antisymmetric" if cs == "BD-evenp" else "T-symmetric")
-            )
-    return full
+def _c_relations(system: TodaSystem, sign: str) -> list:
+    """Constraint relations of one coupling family as (a, mate, map, what).
 
-
-def _validate_c_family(system: TodaSystem, sign: str, entries, tol: float):
+    Each entry states C_mate = map(C_a); a == mate marks the self-paired
+    central entry of an even block count, which must be its own image.
+    """
     p = system.blocks.count
     s = p // 2
     cs = system.constraint_set
     if cs == "A-none":
-        return
-    scale = 1.0 + max((_max_abs(e) for e in entries), default=0.0)
+        return []
 
-    def check(lhs, rhs, what):
-        if _max_abs(lhs - rhs) > tol * scale:
-            raise ConstraintError(f"coupling constraint violated: {what}")
+    def mirror(x):
+        return -_tt(x)
 
-    for a in range(1, p):
-        mate = p - a
-        if cs == "C-oddp" and a in (s, s + 1):
-            continue
-        if a >= mate:  # self-paired central entries are checked below
-            continue
-        check(_tt(entries[a - 1]), -entries[mate - 1], f"C_{{{sign}{a}}}^T = -C_{{{sign}{mate}}}")
-    if cs == "C-oddp":
+    # B/D mirror every a <= s (the centre onto itself for even p); C twists its centre
+    table = [(a, p - a, mirror, f"C_{{{sign}{a}}}^T = -C_{{{sign}{p - a}}}")
+             for a in range(1, s if cs.startswith("C") else s + 1)]
+    if cs == "C-oddp":  # central pair twisted by the small symplectic form
         itld = antidiag_unit(system.blocks.sizes[s - 1]).astype(complex)
         jf = symplectic_form(system.blocks.sizes[s] // 2).astype(complex)
         if sign == "-":
-            check(itld @ _plain_t(entries[s - 1]) @ jf, -entries[s], "twisted central pair")
+            table.append((s, s + 1, lambda x: -(itld @ _plain_t(x) @ jf), "twisted central pair"))
         else:
-            check(jf @ _plain_t(entries[s - 1]) @ itld, entries[s], "twisted central pair")
-    elif cs == "BD-evenp":
-        check(_tt(entries[s - 1]), -entries[s - 1], f"C_{{{sign}{s}}}^T = -C_{{{sign}{s}}}")
+            table.append((s, s + 1, lambda x: jf @ _plain_t(x) @ itld, "twisted central pair"))
     elif cs == "C-evenp":
-        check(_tt(entries[s - 1]), entries[s - 1], f"C_{{{sign}{s}}}^T = C_{{{sign}{s}}}")
+        table.append((s, s, _tt, f"C_{{{sign}{s}}}^T = C_{{{sign}{s}}}"))
+    return table
 
 
 def make_c_blocks(system: TodaSystem, minus, plus, tol: float = 1e-12) -> CBlocks:
@@ -237,58 +196,74 @@ def make_c_blocks(system: TodaSystem, minus, plus, tol: float = 1e-12) -> CBlock
 
     Given only the independent blocks (all of them for series A, the first
     half otherwise), the dependent blocks are completed from the constraint
-    relations; given all p-1 blocks, the relations are validated to ``tol``.
+    relations and a self-paired central block is checked to 1e-12; given
+    all p-1 blocks, every relation is validated to ``tol``.
     """
     p = system.blocks.count
+    want = system.independent_c_count
     out = {}
     for sign, entries in (("-", minus), ("+", plus)):
         entries = list(entries)
-        if len(entries) == p - 1 and system.tag.series != "A":
-            coerced = [_coerce_entry(system, sign, a, entries[a - 1]) for a in range(1, p)]
-            _validate_c_family(system, sign, coerced, tol)
-            out[sign] = coerced
-        else:
-            out[sign] = _complete_c_family(system, sign, entries)
+        if len(entries) not in (want, p - 1):
+            raise ShapeError(f"expected {want} independent or all {p - 1} coupling blocks, "
+                             f"got {len(entries)}")
+        full = [_coerce_entry(system, sign, a, e) for a, e in enumerate(entries, start=1)]
+        complete = len(full) == p - 1
+        scale = 1.0 + max((_max_abs(e) for e in full), default=0.0)
+        full += [None] * (p - 1 - len(full))
+        for a, mate, rel, what in _c_relations(system, sign):
+            image = rel(full[a - 1])
+            if not complete and a != mate:
+                full[mate - 1] = image
+                continue
+            bound = tol * scale if complete else 1e-12 * (1.0 + _max_abs(full[a - 1]))
+            if _max_abs(full[mate - 1] - image) > bound:
+                raise ConstraintError(f"coupling constraint violated: {what}")
+        out[sign] = full
     return CBlocks(system, tuple(out["-"]), tuple(out["+"]))
 
 
-def assemble_c(system: TodaSystem, c: CBlocks, sign: str, line_index: int | None = None) -> np.ndarray:
-    """Full n x n coupling matrix with blocks on the sub- or superdiagonal."""
-    if sign not in ("-", "+"):
-        raise ValueError("sign must be '-' or '+'")
-    n = system.tag.ambient_dim
+def _place_blocks(system: TodaSystem, blocks, offset: int) -> np.ndarray:
+    """n x n matrices with ``blocks`` on the block diagonal (offset 0), the
+    block subdiagonal (-1) or the block superdiagonal (+1).
+
+    Blocks may carry leading axes, which broadcast against each other.
+    """
     slices = system.blocks.slices()
-    out = np.zeros((n, n), dtype=complex)
-    entries = c.minus if sign == "-" else c.plus
-    for a, entry in enumerate(entries, start=1):
-        if entry.ndim == 3:
-            if line_index is None:
-                raise ValueError("coupling varies along the grid; a line index is required")
-            entry = entry[line_index]
-        if sign == "-":
-            out[slices[a], slices[a - 1]] = entry
-        else:
-            out[slices[a - 1], slices[a]] = entry
+    lead = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+    n = system.tag.ambient_dim
+    out = np.zeros(lead + (n, n), dtype=complex)
+    for a, block in enumerate(blocks):
+        out[..., slices[a + (offset < 0)], slices[a + (offset > 0)]] = block
     return out
 
 
-def _c_lines(system: TodaSystem, c: CBlocks, sign: str, count: int) -> np.ndarray:
-    """Coupling matrices materialized on each line of the relevant chirality."""
-    n = system.tag.ambient_dim
-    slices = system.blocks.slices()
-    out = np.zeros((count, n, n), dtype=complex)
+def _c_samples(c: CBlocks, sign: str, count: int) -> tuple[np.ndarray, ...]:
+    """One coupling family, its line-sampled entries checked for ``count`` samples."""
     entries = c.minus if sign == "-" else c.plus
     for a, entry in enumerate(entries, start=1):
         if entry.ndim == 3 and entry.shape[0] != count:
             raise ShapeError(
                 f"coupling C_{{{sign}{a}}} has {entry.shape[0]} samples, grid needs {count}"
             )
-        block = entry if entry.ndim == 3 else entry[None]
-        if sign == "-":
-            out[:, slices[a], slices[a - 1]] = block
-        else:
-            out[:, slices[a - 1], slices[a]] = block
-    return out
+    return entries
+
+
+def assemble_c(system: TodaSystem, c: CBlocks, sign: str, line_index: int | None = None) -> np.ndarray:
+    """Full n x n coupling matrix with blocks on the sub- or superdiagonal."""
+    if sign not in ("-", "+"):
+        raise ValueError("sign must be '-' or '+'")
+    entries = c.minus if sign == "-" else c.plus
+    if line_index is None and any(e.ndim == 3 for e in entries):
+        raise ValueError("coupling varies along the grid; a line index is required")
+    blocks = [e[line_index] if e.ndim == 3 else e for e in entries]
+    return _place_blocks(system, blocks, -1 if sign == "-" else 1)
+
+
+def _c_lines(system: TodaSystem, c: CBlocks, sign: str, count: int) -> np.ndarray:
+    """Coupling matrices materialized on each line of the relevant chirality."""
+    blocks = [np.broadcast_to(e, (count,) + e.shape[-2:]) for e in _c_samples(c, sign, count)]
+    return _place_blocks(system, blocks, -1 if sign == "-" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +309,7 @@ def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -
             raise ConstraintError(
                 f"central block violates its self-constraint (defect {defect:.3e})"
             )
-    full: list = [None] * p
-    for a, val in enumerate(values, start=1):
-        full[a - 1] = val
+    full = values + [None] * (p - want)
     for a in range(1, p // 2 + 1):
         full[p - a] = _batched_inv(_tt(values[a - 1]))
     return full
@@ -344,13 +317,7 @@ def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -
 
 def assemble_gamma(system: TodaSystem, betas, tol: float = 1e-10) -> np.ndarray:
     """Block-diagonal group element from independent block values at one point."""
-    full = complete_betas(system, betas, check_tol=tol)
-    lead = np.broadcast_shapes(*(b.shape[:-2] for b in full))
-    n = system.tag.ambient_dim
-    out = np.zeros(lead + (n, n), dtype=complex)
-    for sl, block in zip(system.blocks.slices(), full):
-        out[..., sl, sl] = block
-    return out
+    return _place_blocks(system, complete_betas(system, betas, check_tol=tol), 0)
 
 
 @dataclass(frozen=True)
@@ -405,26 +372,13 @@ def field_from_closure(system: TodaSystem, spec: GridSpec, closure) -> GridField
 
 def gamma_grid(system: TodaSystem, field: GridField) -> np.ndarray:
     """Full block-diagonal group element sampled over the grid."""
-    full = complete_betas(system, field.betas, check_tol=None)
-    lead = np.broadcast_shapes(*(b.shape[:-2] for b in full))
-    n = system.tag.ambient_dim
-    out = np.zeros(lead + (n, n), dtype=complex)
-    for sl, block in zip(system.blocks.slices(), full):
-        out[..., sl, sl] = block
-    return out
+    return _place_blocks(system, complete_betas(system, field.betas, check_tol=None), 0)
 
 
 def _gamma_and_inverse(system, field):
     """Assemble gamma and its blockwise inverse over the grid."""
     full = complete_betas(system, field.betas, check_tol=None)
-    n = system.tag.ambient_dim
-    shape = (field.spec.n_minus, field.spec.n_plus, n, n)
-    gamma = np.zeros(shape, dtype=complex)
-    gamma_inv = np.zeros(shape, dtype=complex)
-    for sl, block in zip(system.blocks.slices(), full):
-        gamma[..., sl, sl] = block
-        gamma_inv[..., sl, sl] = _batched_inv(block)
-    return gamma, gamma_inv
+    return _place_blocks(system, full, 0), _place_blocks(system, [_batched_inv(b) for b in full], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +452,13 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     def get_beta(a):
         return betas[a - 1][1:-1, 1:-1]
 
+    samples = {"-": _c_samples(c, "-", spec.n_minus), "+": _c_samples(c, "+", spec.n_plus)}
+
     def get_c(sign, a):
-        entry = (c.minus if sign == "-" else c.plus)[a - 1]
+        entry = samples[sign][a - 1]
         if entry.ndim == 2:
             return entry
-        if sign == "-":
-            if entry.shape[0] != spec.n_minus:
-                raise ShapeError("coupling sample count does not match the grid")
-            return entry[1:-1][:, None]
-        if entry.shape[0] != spec.n_plus:
-            raise ShapeError("coupling sample count does not match the grid")
-        return entry[1:-1][None, :]
+        return entry[1:-1][:, None] if sign == "-" else entry[1:-1][None, :]
 
     grids = []
     labels = []
@@ -609,10 +559,7 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
         new_p = _batched_inv(xp_here) @ plus_entry @ xp_next
         new_minus.append(_squeeze_constant(new_m))
         new_plus.append(_squeeze_constant(new_p))
-    if system.tag.series == "A":
-        new_c = CBlocks(system, tuple(new_minus), tuple(new_plus))
-    else:
-        new_c = make_c_blocks(system, new_minus, new_plus, tol=max(tol, 1e-10))
+    new_c = make_c_blocks(system, new_minus, new_plus, tol=max(tol, 1e-10))
     return GridField(spec, tuple(new_betas)), new_c
 
 
@@ -646,25 +593,19 @@ def conformal_transform(system: TodaSystem, field, f_minus, f_plus, spec: GridSp
     fp, dfp = f_plus
     levels = canonical_block_operator(system.blocks).levels
     level = system.level
-    count = system.independent_beta_count
-    sizes = system.blocks.sizes
-    arrays = [
-        np.empty((spec.n_minus, spec.n_plus, sizes[a], sizes[a]), dtype=complex)
-        for a in range(count)
-    ]
-    for i, zm in enumerate(spec.z_minus):
+
+    def composed(zm, zp):
         dm = dfm(zm)
         if dm <= 0:
             raise DomainError(f"dF^- must be positive; got {dm} at {zm}")
-        for j, zp in enumerate(spec.z_plus):
-            dp = dfp(zp)
-            if dp <= 0:
-                raise DomainError(f"dF^+ must be positive; got {dp} at {zp}")
-            values = closure(fm(zm), fp(zp))
-            for a in range(count):
-                weight = (dp * dm) ** (-float(levels[a]) / level)
-                arrays[a][i, j] = weight * np.asarray(values[a], dtype=complex)
-    return GridField(spec, tuple(arrays))
+        dp = dfp(zp)
+        if dp <= 0:
+            raise DomainError(f"dF^+ must be positive; got {dp} at {zp}")
+        values = closure(fm(zm), fp(zp))
+        return [(dp * dm) ** (-float(levels[a]) / level) * np.asarray(values[a], dtype=complex)
+                for a in range(system.independent_beta_count)]
+
+    return field_from_closure(system, spec, composed)
 
 
 def _interpolating_closure(system: TodaSystem, field: GridField):

@@ -145,14 +145,15 @@ def test_solve_singular_corner(tmp_path, capsys):
     lv = liouville_field(spec)
     data = liouville_boundary(spec)
     doc = boundary_to_document(lv.system, data)
-    doc["left"][0][2] = [[0.0, 0.0]]  # kill one sample
+    doc["left"][0][2] = [[[0.0, 0.0]]]  # kill one 1 x 1 sample
     system_file = tmp_path / "system.json"
     boundary_file = tmp_path / "boundary.json"
     write_json(system_file, system_to_document(lv.system, lv.c))
     write_json(boundary_file, doc)
     assert main(["solve", "--system", str(system_file), "--boundary", str(boundary_file),
                  "--out", str(tmp_path / "x.json")]) == 2
-    assert "error[input]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error[input]" in err and "not invertible" in err
 
 
 def test_solve_blowup_exit_code(tmp_path, capsys):

@@ -227,6 +227,40 @@ def test_march_with_chiral_couplings_from_gauge():
     assert err <= 5e-4
 
 
+@pytest.mark.parametrize("sign", "-+")
+def test_march_rejects_coupling_line_of_wrong_length(sign):
+    spec = _liouville_spec(17)
+    lv = liouville_field(spec)
+    short = np.ones((16, 1, 1))
+    c = tk.make_c_blocks(lv.system, [short if sign == "-" else -np.eye(1)],
+                         [short if sign == "+" else np.eye(1)])
+    with pytest.raises(ShapeError):
+        march(lv.system, c, liouville_boundary(spec))
+
+
+def test_march_with_chiral_line_couplings_is_second_order():
+    # Gauge lines along both coordinates make C_- and C_+ sampled lines, so
+    # the march evaluates both at their half-points.
+    residuals, errors = [], []
+    for n in (17, 33, 65):
+        spec = _liouville_spec(n)
+        lv = liouville_field(spec)
+        xi_m = np.exp(0.4 * np.sin(spec.z_minus))[:, None, None] * np.eye(1)
+        xi_p = np.exp(0.3 * np.cos(spec.z_plus))[:, None, None] * np.eye(1)
+        field_g, c_g = tk.gauge_transform(lv.system, lv.field, lv.c, [xi_m, 1 / xi_m],
+                                          [xi_p, 1 / xi_p])
+        assert c_g.minus[0].ndim == 3 and c_g.plus[0].ndim == 3
+        data = CharacteristicData(spec, tuple(b[:, 0] for b in field_g.betas),
+                                  tuple(b[0, :] for b in field_g.betas))
+        result = march(lv.system, c_g, data)
+        residuals.append(result.residual.max_norm)
+        errors.append(max(float(np.max(np.abs(result.field.betas[a] - field_g.betas[a])))
+                          for a in range(2)))
+    assert 3.2 <= residuals[1] / residuals[2] <= 5.0
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 3.2 <= coarse / fine <= 5.0
+
+
 def test_convergence_study_self_reference():
     system = liouville_system()
 

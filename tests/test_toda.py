@@ -79,6 +79,36 @@ def test_c_blocks_validation_of_full_lists(rng):
         tk.make_c_blocks(system, [cm1, t_transpose(cm1)], good_plus)
 
 
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: f"{case[0]}{case[1]}-{case[2]}")
+def test_c_relations_complete_validate_round_trip(case, rng):
+    system = build_case(*case)
+    p, s = system.blocks.count, system.blocks.count // 2
+    want = system.independent_c_count
+    seed = random_couplings(system, rng)
+    c = tk.make_c_blocks(system, seed.minus[:want], seed.plus[:want])
+    assert len(c.minus) == len(c.plus) == p - 1
+    for sign in "-+":  # the completed blocks lie in the algebra
+        assert algebra_membership(system.tag, tk.assemble_c(system, c, sign)).member
+    again = tk.make_c_blocks(system, c.minus, c.plus)
+    for got, sent in zip(again.minus + again.plus, c.minus + c.plus):
+        assert np.array_equal(got, sent)
+
+    perturbed = list(range(want + 1, p))  # the dependent entries
+    central = system.tag.series != "A" and p % 2 == 0
+    # a 1 x 1 block is always T-symmetric, so a scalar C-evenp centre has no relation to break
+    if central and not (system.constraint_set == "C-evenp" and system.blocks.sizes[s] == 1):
+        perturbed.append(s)
+    for sign in "-+":
+        for a in perturbed:
+            entries = list(c.minus if sign == "-" else c.plus)
+            entries[a - 1] = entries[a - 1] + 1e-6 * random_complex(rng, entries[a - 1].shape)
+            for count in {p - 1, want} if a <= want else {p - 1}:
+                minus = entries[:count] if sign == "-" else c.minus[:count]
+                plus = entries[:count] if sign == "+" else c.plus[:count]
+                with pytest.raises(ConstraintError):
+                    tk.make_c_blocks(system, minus, plus)
+
+
 def test_assemble_gamma_examples(rng):
     system = build_case("A", 1, (1, 1))
     gamma = tk.assemble_gamma(system, [np.array([[2.0]]), np.array([[5.0]])])
