@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -78,6 +79,44 @@ def _format_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
+def _array_template(shape: tuple[int, ...], indent: int) -> str:
+    """Layout of a nested float list of ``shape``, one %-placeholder per float."""
+    if not shape:
+        return "%.17g"
+    item = "  " * (indent + 1) + _array_template(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * indent + "]"
+
+
+def _float_array_text(obj: list, indent: int) -> str | None:
+    """Text of a rectangular nested list of floats, or None for any other list.
+
+    Produces exactly what the element-by-element writer would, with one
+    ``%`` formatting pass per top-level row instead of one call per float.
+    """
+    shape = []
+    probe = obj
+    while type(probe) is list and probe:
+        shape.append(len(probe))
+        probe = probe[0]
+    if type(probe) is not float:
+        return None
+    row_shape = tuple(shape[1:])
+    template = "  " * (indent + 1) + _array_template(row_shape, indent + 1)
+    rows = []
+    for row in obj:
+        flat = [row]
+        for size in row_shape:
+            if set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
+                return None
+            flat = list(chain.from_iterable(flat))
+        if set(map(type, flat)) != {float}:
+            return None
+        if not all(map(math.isfinite, flat)):
+            raise ValueError("non-finite float in output document")
+        rows.append(template % tuple(flat))
+    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
+
+
 def dumps_deterministic(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and fixed float formatting."""
     pad = "  " * indent
@@ -93,6 +132,10 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if type(obj) is list:
+            text = _float_array_text(obj, indent)
+            if text is not None:
+                return text
         parts = [f"{inner}{dumps_deterministic(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     return _format_scalar(obj)

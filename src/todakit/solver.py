@@ -6,8 +6,10 @@ the logarithmic derivative u_a = beta_a^{-1} d_- beta_a as a companion
 variable: each column step advances u_a with a midpoint rule (right-hand
 side at the averaged field, iterated to a fixed point) and then recovers
 beta_a along the first coordinate with an implicit midpoint rule that is
-solvable in closed form.  Self-paired central blocks are re-projected onto
-their constraint manifold after every accepted column.
+solvable in closed form: beta_a on the column is its boundary sample times
+a prefix product of per-row transfer matrices, taken with a doubling scan.
+Self-paired central blocks are re-projected onto their constraint manifold
+after every accepted column.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ class CharacteristicData:
     bottom: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        if len(self.left) != len(self.bottom):
+            raise ShapeError(
+                f"left has {len(self.left)} block lines but bottom has {len(self.bottom)}"
+            )
         for name, lines, count in (("left", self.left, self.spec.n_minus),
                                    ("bottom", self.bottom, self.spec.n_plus)):
             for a, arr in enumerate(lines, start=1):
@@ -82,6 +88,11 @@ class CharacteristicData:
                         f"{name} line of block {a} must be ({count}, k, k), got {arr.shape}"
                     )
         for a, (lft, bot) in enumerate(zip(self.left, self.bottom), start=1):
+            if lft.shape[1:] != bot.shape[1:]:
+                raise ShapeError(
+                    f"left and bottom lines of block {a} hold {lft.shape[1:]} and "
+                    f"{bot.shape[1:]} samples"
+                )
             scale = 1.0 + float(np.max(np.abs(lft[0])))
             if float(np.max(np.abs(lft[0] - bot[0]))) > 1e-12 * scale:
                 raise ValueError(f"corner samples of block {a} disagree")
@@ -108,6 +119,21 @@ def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
     eye = np.eye(values.shape[-1])
     transfer = np.linalg.inv(values[:-1]) @ values[1:]
     return (2.0 / h) * (np.linalg.inv(eye + transfer) @ (transfer - eye))
+
+
+def _prefix_products(factors: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products F_0, F_0 F_1, ..., F_0 F_1 ... F_{n-1} of a matrix stack.
+
+    Hillis-Steele doubling scan: after the pass with offset d, entry i holds
+    the product of the (up to) 2d factors ending at i, so ceil(log2 n)
+    batched matmuls replace n - 1 sequential ones.
+    """
+    out = np.array(factors)
+    d = 1
+    while d < len(out):
+        out[d:] = out[:-d] @ out[d:]
+        d *= 2
+    return out
 
 
 def _project_central(system: TodaSystem, g: np.ndarray) -> np.ndarray:
@@ -138,6 +164,14 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
     sizes = system.blocks.sizes
     equations = independent_equations(system)
     odd_central = system.tag.series != "A" and system.blocks.count % 2 == 1
+    if len(data.left) != count:
+        raise ShapeError(f"boundary data must have {count} block lines, got {len(data.left)}")
+    for a in range(count):
+        if data.left[a].shape[1:] != (sizes[a], sizes[a]):
+            raise ShapeError(
+                f"boundary lines of block {a + 1} must hold {sizes[a]} x {sizes[a]} samples, "
+                f"got {data.left[a].shape[1:]}"
+            )
 
     betas = [np.empty((ni, nj, sizes[a], sizes[a]), dtype=complex) for a in range(count)]
     data_mag, data_inv = [], []
@@ -177,17 +211,12 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
 
     def integrate_line(start: np.ndarray, u_half: np.ndarray, j: int) -> np.ndarray:
         """Solve d_- beta = beta u along a column with the implicit midpoint rule."""
-        k = start.shape[-1]
-        eye = np.eye(k)
-        out = np.empty((ni, k, k), dtype=complex)
-        out[0] = start
+        eye = np.eye(start.shape[-1])
         try:
             transfer = (eye + 0.5 * hm * u_half) @ np.linalg.inv(eye - 0.5 * hm * u_half)
         except np.linalg.LinAlgError as exc:
             raise BlowUpError(f"implicit step degenerated: {exc}", (0, j)) from exc
-        for i in range(ni - 1):
-            out[i + 1] = out[i] @ transfer[i]
-        return out
+        return np.concatenate([start[None], start @ _prefix_products(transfer)])
 
     u_cur = [_staggered_log_derivative(betas[a][:, 0], hm) for a in range(count)]
     iterations = []

@@ -531,6 +531,9 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
     spec = field.spec
     sizes = system.blocks.sizes
     count = system.independent_beta_count
+    xi_minus, xi_plus = list(xi_minus), list(xi_plus)
+    if len(xi_minus) != count or len(xi_plus) != count:
+        raise ShapeError(f"expected {count} gauge blocks per chirality")
     xi_m = [
         _as_line(x, spec.n_minus, sizes[a], f"xi_minus block {a + 1}")
         for a, x in enumerate(xi_minus)
@@ -539,8 +542,6 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
         _as_line(x, spec.n_plus, sizes[a], f"xi_plus block {a + 1}")
         for a, x in enumerate(xi_plus)
     ]
-    if len(xi_m) != count or len(xi_p) != count:
-        raise ShapeError(f"expected {count} gauge blocks per chirality")
     xi_m_full = complete_betas(system, xi_m, check_tol=tol)
     xi_p_full = complete_betas(system, xi_p, check_tol=tol)
     new_betas = []

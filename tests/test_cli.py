@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import todakit as tk
 from todakit.cli import (
@@ -228,3 +231,115 @@ def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") >= 5 and "FAIL" not in out
+
+
+# ---------------------------------------------------------------------------
+# dumps_deterministic against the element-by-element writer
+
+
+def _reference_scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("non-finite float in output document")
+        return f"{value:.17g}"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _reference_dumps(obj, indent: int = 0) -> str:
+    """The recursive writer, one call per list and per scalar."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = [
+            f"{inner}{json.dumps(str(key))}: {_reference_dumps(obj[key], indent + 1)}"
+            for key in sorted(obj)
+        ]
+        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f"{inner}{_reference_dumps(item, indent + 1)}" for item in obj]
+        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
+    return _reference_scalar(obj)
+
+
+_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e17, 0.1]),
+)
+_ints = st.one_of(st.integers(), st.sampled_from([10**17, -(10**17), 2**63, 10**30]))
+_scalars = st.one_of(_floats, _ints, st.booleans(), st.none(), st.text(max_size=5))
+
+
+@st.composite
+def _float_arrays(draw, min_depth=1, max_depth=5):
+    """A rectangular nested list of floats, as ``ndarray.tolist`` returns."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=min_depth, max_size=max_depth))
+    flat = draw(st.lists(_floats, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(flat, dtype=float).reshape(shape).tolist()
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, list):
+        for i, item in enumerate(obj):
+            yield from _leaf_paths(item, path + (i,))
+    else:
+        yield path
+
+
+def _leaf_slot(draw, arr):
+    """(innermost list, index) of a leaf of ``arr`` picked with ``draw``."""
+    *head, last = draw(st.sampled_from(list(_leaf_paths(arr))))
+    for i in head:
+        arr = arr[i]
+    return arr, last
+
+
+@st.composite
+def _broken_arrays(draw):
+    """A float array with one leaf replaced or one innermost list cut short."""
+    arr = draw(_float_arrays(min_depth=2))
+    parent, last = _leaf_slot(draw, arr)
+    if draw(st.booleans()):
+        parent[last] = draw(st.one_of(_ints, st.none(), st.booleans(), st.just((1.5,)), st.just([])))
+    else:
+        del parent[last]
+    return arr
+
+
+_documents = st.recursive(
+    st.one_of(_scalars, _float_arrays(min_depth=2), _broken_arrays(),
+              st.lists(st.one_of(_ints, _floats), max_size=6),
+              st.lists(st.lists(_floats, max_size=3), max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_documents, indent=st.integers(0, 2))
+def test_dumps_matches_element_by_element_writer(doc, indent):
+    assert dumps_deterministic(doc, indent) == _reference_dumps(doc, indent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arr=_float_arrays(), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_dumps_rejects_non_finite_float_in_array(arr, bad, data):
+    parent, last = _leaf_slot(data.draw, arr)
+    parent[last] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps_deterministic({"betas": [arr]})

@@ -12,6 +12,7 @@ from todakit.solver import (
     liouville_closure,
     liouville_field,
     liouville_system,
+    _prefix_products,
     march,
 )
 from todakit.toda import central_defect
@@ -174,6 +175,54 @@ def test_bad_line_shapes_rejected():
             (np.ones((4, 1, 1), dtype=complex),),
             (np.ones((5, 1, 1), dtype=complex),),
         )
+
+
+def test_left_and_bottom_lines_must_pair_up():
+    spec = tk.GridSpec(0.0, 2.0, 0.25, 0.25, 5, 5)
+    line = np.ones((5, 1, 1), dtype=complex)
+    with pytest.raises(ShapeError):
+        CharacteristicData(spec, (line, line.copy()), (line.copy(),))
+    with pytest.raises(ShapeError):  # a 1 x 1 corner would broadcast against a 2 x 2 one
+        CharacteristicData(spec, (np.ones((5, 2, 2), dtype=complex),), (line,))
+
+
+@pytest.mark.parametrize("lines", [1, 3])
+def test_march_rejects_wrong_boundary_line_count(lines):
+    spec = _liouville_spec(17)
+    lv = liouville_field(spec)
+    data = liouville_boundary(spec)
+    left = (data.left * 2)[:lines]
+    bottom = (data.bottom * 2)[:lines]
+    with pytest.raises(ShapeError):
+        march(lv.system, lv.c, CharacteristicData(spec, left, bottom))
+
+
+def test_march_rejects_boundary_blocks_of_wrong_size():
+    spec = _liouville_spec(17)
+    lv = liouville_field(spec)
+    line = np.broadcast_to(np.eye(2, dtype=complex), (17, 2, 2))
+    with pytest.raises(ShapeError):
+        march(lv.system, lv.c, CharacteristicData(spec, (line, line), (line, line)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 65, 257])
+def test_prefix_products_match_sequential_loop(k, n):
+    rng = np.random.default_rng(100 * k + n)
+    # near-identity factors, like the implicit midpoint transfers of a column
+    factors = np.eye(k) + 0.05 * (rng.standard_normal((n, k, k))
+                                  + 1j * rng.standard_normal((n, k, k)))
+    before = factors.copy()
+    expected = np.empty_like(factors)
+    acc = np.eye(k, dtype=complex)
+    for i in range(n):
+        acc = acc @ factors[i]
+        expected[i] = acc
+    got = _prefix_products(factors)
+    assert np.array_equal(factors, before)
+    assert got.shape == factors.shape
+    scale = np.max(np.abs(expected), axis=(-1, -2))
+    assert np.max(np.max(np.abs(got - expected), axis=(-1, -2)) / scale) <= 1e-13
 
 
 def test_liouville_domain_guard():

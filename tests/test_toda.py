@@ -340,6 +340,13 @@ def test_gauge_rejects_offmanifold_central(rng):
         tk.gauge_transform(system, field, c, [np.eye(1), bad_central], [np.eye(1), np.eye(3)])
 
 
+@pytest.mark.parametrize("minus, plus", [(3, 2), (2, 3), (1, 2)])
+def test_gauge_rejects_wrong_block_count(minus, plus):
+    lv = liouville_field(tk.GridSpec(0.0, 2.0, 0.25, 0.25, 5, 5))
+    with pytest.raises(tk.ShapeError):
+        tk.gauge_transform(lv.system, lv.field, lv.c, [np.eye(1)] * minus, [np.eye(1)] * plus)
+
+
 def test_conformal_identity_translation_scaling():
     from todakit.solver import liouville_closure
 
