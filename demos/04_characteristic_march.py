@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from todakit import GridSpec, SeriesTag, build_system, make_c_blocks, t_transpose
-from todakit.solver import CharacteristicData, liouville_boundary, liouville_field, march
+from todakit.solver import boundary_from_closure, liouville_boundary, liouville_field, march
 from todakit.toda import central_defect
 
 
@@ -48,14 +48,12 @@ def orthogonal_run():
         return [expm(gen_scalar * (0.2 * zm - 0.1 * zp)),
                 expm(gen_central * (0.12 * zm + 0.3 * zp))]
 
-    left = [np.array([closure(zm, 0.0)[a] for zm in spec.z_minus]) for a in range(2)]
-    bottom = [np.array([closure(0.0, zp)[a] for zp in spec.z_plus]) for a in range(2)]
     c = make_c_blocks(
         system,
         [0.4 * (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)))],
         [0.4 * (rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3)))],
     )
-    result = march(system, c, CharacteristicData(spec, tuple(left), tuple(bottom)))
+    result = march(system, c, boundary_from_closure(system, spec, closure))
     central = result.field.betas[1].reshape(-1, 3, 3)
     print("orthogonal three-block system, random boundary data:")
     print(f"   block residual max      {result.residual.max_norm:.3e}")

@@ -47,6 +47,7 @@ from .toda import (
     build_system,
     connection,
     curvature_residual,
+    emit_equations,
     make_c_blocks,
     residual_full,
 )
@@ -177,15 +178,50 @@ def _block_list(doc: dict, key: str, count: int, what: str) -> list:
     return raw
 
 
-def system_to_document(system: TodaSystem, c: CBlocks, metadata: dict | None = None) -> dict:
+# GridSpec fields as stored in the "grid" object of grid and boundary documents
+_GRID_FLOATS = ("z_minus_start", "z_plus_start", "h_minus", "h_plus")
+_GRID_INTS = ("n_minus", "n_plus")
+
+
+def _header(kind: str, system: TodaSystem, spec: GridSpec | None = None) -> dict:
+    """The keys every document starts with: kind, series, rank, blocks and, for
+    grid and boundary documents, the grid."""
     doc = {
-        "kind": "toda-system",
+        "kind": kind,
         "series": system.tag.series,
         "rank": system.tag.rank,
         "blocks": list(system.blocks.sizes),
-        "c_minus": [matrix_to_json(entry) for entry in c.minus],
-        "c_plus": [matrix_to_json(entry) for entry in c.plus],
     }
+    if spec is not None:
+        doc["grid"] = {key: float(getattr(spec, key)) for key in _GRID_FLOATS}
+        doc["grid"].update((key, int(getattr(spec, key))) for key in _GRID_INTS)
+    return doc
+
+
+def _checked_header(doc: dict, kind: str, system: TodaSystem) -> GridSpec:
+    """The grid of a grid or boundary document, after checking that its kind is
+    ``kind`` and that its series, rank and blocks are those of ``system``."""
+    if doc.get("kind") != kind:
+        raise ValueError(f"not a {kind} document")
+    name = kind.removeprefix("toda-")
+    if (_require(doc, "series", kind) != system.tag.series
+            or _require(doc, "rank", kind) != system.tag.rank):
+        raise ValueError(f"{name} file does not match the system file's series/rank")
+    if _require(doc, "blocks", kind) != list(system.blocks.sizes):
+        raise ValueError(f"{name} file block sizes do not match the system file")
+    grid = _require(doc, "grid", kind)
+    if not isinstance(grid, dict):
+        raise ValueError("grid: expected a JSON object")
+    return GridSpec(
+        *(float(_require(grid, key, "grid")) for key in _GRID_FLOATS),
+        *(int(_require(grid, key, "grid")) for key in _GRID_INTS),
+    )
+
+
+def system_to_document(system: TodaSystem, c: CBlocks, metadata: dict | None = None) -> dict:
+    doc = _header("toda-system", system)
+    doc["c_minus"] = [matrix_to_json(entry) for entry in c.minus]
+    doc["c_plus"] = [matrix_to_json(entry) for entry in c.plus]
     if metadata:
         doc["metadata"] = metadata
     return doc
@@ -216,49 +252,16 @@ def system_from_document(doc: dict) -> tuple[TodaSystem, CBlocks]:
     return system, c
 
 
-def _grid_spec_to_json(spec: GridSpec) -> dict:
-    return {
-        "z_minus_start": float(spec.z_minus_start),
-        "z_plus_start": float(spec.z_plus_start),
-        "h_minus": float(spec.h_minus),
-        "h_plus": float(spec.h_plus),
-        "n_minus": int(spec.n_minus),
-        "n_plus": int(spec.n_plus),
-    }
-
-
-def _grid_spec_from_json(doc) -> GridSpec:
-    if not isinstance(doc, dict):
-        raise ValueError("grid: expected a JSON object")
-    starts_and_steps = ("z_minus_start", "z_plus_start", "h_minus", "h_plus")
-    return GridSpec(
-        *(float(_require(doc, key, "grid")) for key in starts_and_steps),
-        *(int(_require(doc, key, "grid")) for key in ("n_minus", "n_plus")),
-    )
-
-
 def grid_to_document(system: TodaSystem, field: GridField) -> dict:
-    return {
-        "kind": "toda-grid",
-        "series": system.tag.series,
-        "rank": system.tag.rank,
-        "blocks": list(system.blocks.sizes),
-        "grid": _grid_spec_to_json(field.spec),
-        "block_index": list(range(1, system.independent_beta_count + 1)),
-        "betas": [matrix_to_json(b) for b in field.betas],
-    }
+    doc = _header("toda-grid", system, field.spec)
+    doc["block_index"] = list(range(1, system.independent_beta_count + 1))
+    doc["betas"] = [matrix_to_json(b) for b in field.betas]
+    return doc
 
 
 def grid_from_document(doc: dict, system: TodaSystem) -> GridField:
-    if doc.get("kind") != "toda-grid":
-        raise ValueError("not a toda-grid document")
     what = "toda-grid"
-    if (_require(doc, "series", what) != system.tag.series
-            or int(_require(doc, "rank", what)) != system.tag.rank):
-        raise ValueError("grid file does not match the system file's series/rank")
-    if [int(k) for k in _require(doc, "blocks", what)] != list(system.blocks.sizes):
-        raise ValueError("grid file block sizes do not match the system file")
-    spec = _grid_spec_from_json(_require(doc, "grid", what))
+    spec = _checked_header(doc, what, system)
     sizes = system.blocks.sizes
     raw = _block_list(doc, "betas", system.independent_beta_count, what)
     betas = [
@@ -269,24 +272,15 @@ def grid_from_document(doc: dict, system: TodaSystem) -> GridField:
 
 
 def boundary_to_document(system: TodaSystem, data: CharacteristicData) -> dict:
-    return {
-        "kind": "toda-boundary",
-        "series": system.tag.series,
-        "rank": system.tag.rank,
-        "blocks": list(system.blocks.sizes),
-        "grid": _grid_spec_to_json(data.spec),
-        "left": [matrix_to_json(line) for line in data.left],
-        "bottom": [matrix_to_json(line) for line in data.bottom],
-    }
+    doc = _header("toda-boundary", system, data.spec)
+    doc["left"] = [matrix_to_json(line) for line in data.left]
+    doc["bottom"] = [matrix_to_json(line) for line in data.bottom]
+    return doc
 
 
 def boundary_from_document(doc: dict, system: TodaSystem) -> CharacteristicData:
-    if doc.get("kind") != "toda-boundary":
-        raise ValueError("not a toda-boundary document")
     what = "toda-boundary"
-    if [int(k) for k in _require(doc, "blocks", what)] != list(system.blocks.sizes):
-        raise ValueError("boundary file block sizes do not match the system file")
-    spec = _grid_spec_from_json(_require(doc, "grid", what))
+    spec = _checked_header(doc, what, system)
     sizes = system.blocks.sizes
     count = system.independent_beta_count
     raw_left = _block_list(doc, "left", count, what)
@@ -370,18 +364,9 @@ def _system_from_args(args) -> tuple[TodaSystem, CBlocks | None]:
 
 def cmd_equations(args) -> int:
     system, _ = _system_from_args(args)
-    rendered = system_equations_text(system, args.format)
-    print(rendered)
+    result = emit_equations(system, args.format)
+    print(dumps_deterministic(result) if args.format == "structured" else result)
     return EXIT_OK
-
-
-def system_equations_text(system: TodaSystem, fmt: str) -> str:
-    from .toda import emit_equations
-
-    result = emit_equations(system, fmt)
-    if fmt == "structured":
-        return dumps_deterministic(result)
-    return result
 
 
 def cmd_verify(args) -> int:

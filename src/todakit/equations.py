@@ -10,7 +10,7 @@ what is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -191,19 +191,7 @@ def emit_equations(system, fmt: str = "text"):
                     "block": eq.block,
                     "lhs": {"derivative": "dplus_dminus_log", "field": f"beta_{eq.block}"},
                     "terms": [
-                        {
-                            "sign": t.sign,
-                            "factors": [
-                                {
-                                    "base": f.base,
-                                    "index": f.index,
-                                    "sign": f.sign,
-                                    "inverse": f.inverse,
-                                    "twist": f.twist,
-                                }
-                                for f in t.factors
-                            ],
-                        }
+                        {"sign": t.sign, "factors": [asdict(f) for f in t.factors]}
                         for t in eq.terms
                     ],
                 }

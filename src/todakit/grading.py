@@ -212,9 +212,7 @@ def _first_half_boundaries(labels: DynkinLabels) -> list[tuple[int, int]]:
     tag = labels.tag
     q = labels.labels
     r = tag.rank
-    if tag.series == "A":
-        return [(d + 1, q[d]) for d in range(r) if q[d]]
-    if tag.series in ("B", "C"):
+    if tag.series != "D":
         return [(d + 1, q[d]) for d in range(r) if q[d]]
     # Series D: the last two labels jointly encode boundaries at r-1 and r.
     pairs = [(d + 1, q[d]) for d in range(r - 2) if q[d]]

@@ -29,8 +29,12 @@ from .toda import (
     ResidualReport,
     TodaSystem,
     _c_samples,
+    _central_residual,
+    _max_abs,
+    _sample_closure,
     block_residuals,
     build_system,
+    field_from_closure,
     make_c_blocks,
 )
 
@@ -45,8 +49,16 @@ __all__ = [
     "liouville_closure",
     "liouville_field",
     "liouville_boundary",
+    "boundary_from_closure",
     "convergence_study",
 ]
+
+# corrector sweeps allowed per column, their fixed-point tolerance (relative
+# to the column's largest entry) and the largest admissible condition number
+# or magnitude of a block sample
+_MAX_CORRECTORS = 25
+_FP_TOL = 1e-12
+_COND_LIMIT = 1e12
 
 
 class BlowUpError(RuntimeError):
@@ -104,10 +116,6 @@ class SolveResult:
     residual: ResidualReport
     corrector_iterations: tuple[int, ...]
 
-    @property
-    def step_sizes(self) -> tuple[float, float]:
-        return (self.field.spec.h_minus, self.field.spec.h_plus)
-
 
 def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """beta^{-1} d beta at the half-points of a sample line.
@@ -141,21 +149,19 @@ def _project_central(system: TodaSystem, g: np.ndarray) -> np.ndarray:
     form = system.central_form().astype(complex)
     form_inv = np.linalg.inv(form)
     for _ in range(3):
-        defect = np.swapaxes(g, -1, -2) @ form @ g - form
-        if float(np.max(np.abs(defect))) < 1e-14 * (1.0 + float(np.max(np.abs(g)))):
+        defect = _central_residual(form, g)
+        if _max_abs(defect) < 1e-14 * (1.0 + _max_abs(g)):
             break
         g = g @ (np.eye(g.shape[-1]) - 0.5 * form_inv @ defect)
     return g
 
 
-def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
-          max_correctors: int = 25, fp_tol: float = 1e-12,
-          cond_limit: float = 1e12) -> SolveResult:
+def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
     Raises :class:`BlowUpError` at the first sample whose condition number
     or magnitude degenerates, and :class:`ConvergenceError` if the corrector
-    does not reach its fixed point within ``max_correctors`` sweeps.
+    does not reach its fixed point within 25 sweeps.
     """
     spec = data.spec
     ni, nj = spec.n_minus, spec.n_plus
@@ -227,9 +233,9 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
         beta_next = [
             integrate_line(data.bottom[a][j + 1], u_next[a], j) for a in range(count)
         ]
-        used = max_correctors
+        used = _MAX_CORRECTORS
         prev_delta = None
-        for sweep in range(max_correctors):
+        for sweep in range(_MAX_CORRECTORS):
             beta_mid = [0.5 * (beta_cur[a] + beta_next[a]) for a in range(count)]
             rhs_mid = rhs_half(beta_mid, j)
             u_next = [u_cur[a] + hp * rhs_mid[a] for a in range(count)]
@@ -242,25 +248,25 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData, *,
             beta_next = candidate
             scale = 1.0 + max(float(np.max(np.abs(b))) for b in beta_next)
             if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
-                                          and delta > fp_tol * scale):
+                                          and delta > _FP_TOL * scale):
                 _classify_divergence(beta_next, data_mag, data_inv, j + 1)
                 raise ConvergenceError(
                     f"corrector diverged at column {j + 1} (delta {delta:.3e})"
                 )
             prev_delta = delta
-            if delta <= fp_tol * scale:
+            if delta <= _FP_TOL * scale:
                 used = sweep + 1
                 break
         else:
             raise ConvergenceError(
-                f"corrector did not contract within {max_correctors} sweeps at column {j + 1}"
+                f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
             )
         iterations.append(used)
         if odd_central:
             central = beta_next[count - 1]
             central[1:] = _project_central(system, central[1:])
         for a in range(count):
-            _check_health(beta_next[a], a, j + 1, cond_limit)
+            _check_health(beta_next[a], a, j + 1)
             betas[a][:, j + 1] = beta_next[a]
         u_cur = u_next
     field = GridField(spec, tuple(betas))
@@ -302,13 +308,13 @@ def _nonfinite_row(column: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def _check_health(column: np.ndarray, block: int, j: int, cond_limit: float):
+def _check_health(column: np.ndarray, block: int, j: int):
     i = _nonfinite_row(column)
     if i is not None:
         raise BlowUpError(f"non-finite sample in block {block + 1}", (i, j))
     magnitude = np.max(np.abs(column), axis=(-1, -2))
     conds = np.linalg.cond(column)
-    bad = (conds > cond_limit) | ~np.isfinite(conds) | (magnitude > cond_limit)
+    bad = (conds > _COND_LIMIT) | ~np.isfinite(conds) | (magnitude > _COND_LIMIT)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise BlowUpError(
@@ -354,10 +360,7 @@ def liouville_field(spec: GridSpec) -> LiouvilleData:
     """Exact solution samples plus couplings C_{+1} = 1, C_{-1} = -1."""
     _check_liouville_domain(spec)
     system = liouville_system()
-    closure = liouville_closure()
-    from .toda import field_from_closure
-
-    field = field_from_closure(system, spec, closure)
+    field = field_from_closure(system, spec, liouville_closure())
     c = make_c_blocks(system, [np.array([[-1.0]])], [np.array([[1.0]])])
     return LiouvilleData(system, field, c)
 
@@ -365,17 +368,17 @@ def liouville_field(spec: GridSpec) -> LiouvilleData:
 def liouville_boundary(spec: GridSpec) -> CharacteristicData:
     """Characteristic data sampled from the closed form."""
     _check_liouville_domain(spec)
-    closure = liouville_closure()
-    zm, zp = spec.z_minus, spec.z_plus
-    left = [np.empty((spec.n_minus, 1, 1), dtype=complex) for _ in range(2)]
-    bottom = [np.empty((spec.n_plus, 1, 1), dtype=complex) for _ in range(2)]
-    for i, z in enumerate(zm):
-        vals = closure(z, zp[0])
-        left[0][i], left[1][i] = vals
-    for j, z in enumerate(zp):
-        vals = closure(zm[0], z)
-        bottom[0][j], bottom[1][j] = vals
-    return CharacteristicData(spec, tuple(left), tuple(bottom))
+    return boundary_from_closure(liouville_system(), spec, liouville_closure())
+
+
+def boundary_from_closure(system: TodaSystem, spec: GridSpec, closure) -> CharacteristicData:
+    """Characteristic data: ``closure(z_minus, z_plus) -> [independent blocks]``
+    sampled on the lines z_plus = z_plus[0] (left) and z_minus = z_minus[0] (bottom)."""
+    return CharacteristicData(
+        spec,
+        _sample_closure(system, closure, spec.z_minus, spec.z_plus[0]),
+        _sample_closure(system, closure, spec.z_minus[0], spec.z_plus),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +412,8 @@ def convergence_study(system: TodaSystem, make_case, specs, exact=None) -> Conve
     rows = []
     if exact is not None:
         for spec, res in zip(specs, results):
-            err = 0.0
-            for i, zm in enumerate(spec.z_minus):
-                for j, zp in enumerate(spec.z_plus):
-                    vals = exact(zm, zp)
-                    for a, val in enumerate(vals):
-                        err = max(err, float(np.max(np.abs(res.field.betas[a][i, j] - val))))
+            ref = field_from_closure(system, spec, exact)
+            err = max(_max_abs(b - r) for b, r in zip(res.field.betas, ref.betas))
             rows.append((max(spec.h_minus, spec.h_plus), err))
     else:
         finest = results[-1]

@@ -277,16 +277,21 @@ def _batched_inv(values: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"singular block sample: {exc}") from exc
 
 
+def _central_residual(form: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g^t F g - F, which vanishes exactly on the central block's group manifold."""
+    return _plain_t(g) @ form @ g - form
+
+
 def central_defect(system: TodaSystem, central: np.ndarray) -> float:
-    """Constraint defect of the self-paired central block (odd block count)."""
+    """Constraint defect max|g^t F g - F| of the self-paired central block (odd block count).
+
+    F = ``central_form()`` is a signed permutation, so this equals the
+    series' own formula: max|J g^t J g + I| for C, max|g^T g - I| for B/D.
+    """
     form = system.central_form()
     if form is None:
         raise ValueError("system has no central block")
-    k = form.shape[0]
-    eye = np.eye(k)
-    if system.tag.series == "C":
-        return _max_abs(form @ _plain_t(central) @ form @ central + eye)
-    return _max_abs(_tt(central) @ central - eye)
+    return _max_abs(_central_residual(form, central))
 
 
 def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -> list[np.ndarray]:
@@ -315,9 +320,9 @@ def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -
     return full
 
 
-def assemble_gamma(system: TodaSystem, betas, tol: float = 1e-10) -> np.ndarray:
+def assemble_gamma(system: TodaSystem, betas) -> np.ndarray:
     """Block-diagonal group element from independent block values at one point."""
-    return _place_blocks(system, complete_betas(system, betas, check_tol=tol), 0)
+    return _place_blocks(system, complete_betas(system, betas), 0)
 
 
 @dataclass(frozen=True)
@@ -354,20 +359,25 @@ class GridField:
     betas: tuple[np.ndarray, ...]
 
 
+def _sample_closure(system: TodaSystem, closure, z_minus, z_plus) -> tuple[np.ndarray, ...]:
+    """Independent blocks of ``closure(z_minus, z_plus)`` at broadcast coordinate pairs.
+
+    The closure is called once per pair, in row-major order of the broadcast shape.
+    """
+    zm, zp = np.broadcast_arrays(z_minus, z_plus)
+    sizes = system.blocks.sizes
+    arrays = [np.empty(zm.shape + (sizes[a], sizes[a]), dtype=complex)
+              for a in range(system.independent_beta_count)]
+    for index in np.ndindex(zm.shape):
+        values = closure(zm[index], zp[index])
+        for a, array in enumerate(arrays):
+            array[index] = values[a]
+    return tuple(arrays)
+
+
 def field_from_closure(system: TodaSystem, spec: GridSpec, closure) -> GridField:
     """Sample ``closure(z_minus, z_plus) -> [independent blocks]`` on the grid."""
-    sizes = system.blocks.sizes
-    count = system.independent_beta_count
-    arrays = [
-        np.empty((spec.n_minus, spec.n_plus, sizes[a], sizes[a]), dtype=complex)
-        for a in range(count)
-    ]
-    for i, zm in enumerate(spec.z_minus):
-        for j, zp in enumerate(spec.z_plus):
-            values = closure(zm, zp)
-            for a in range(count):
-                arrays[a][i, j] = np.asarray(values[a], dtype=complex)
-    return GridField(spec, tuple(arrays))
+    return GridField(spec, _sample_closure(system, closure, spec.z_minus[:, None], spec.z_plus[None, :]))
 
 
 def gamma_grid(system: TodaSystem, field: GridField) -> np.ndarray:
@@ -393,7 +403,6 @@ class ResidualReport:
     labels: tuple[str, ...]
     grids: tuple[np.ndarray, ...]
     full_grid: np.ndarray | None = dataclass_field(default=None, repr=False)
-    stencil_order: int = 2
 
     @property
     def max_norms(self) -> tuple[float, ...]:
@@ -413,10 +422,28 @@ class ResidualReport:
         return float(math.sqrt(sum(v**2 for v in self.l2_norms)))
 
 
-def _interior_u(values: np.ndarray, inverses: np.ndarray, h_minus: float) -> np.ndarray:
-    """beta^{-1} d_- beta on the interior of the first axis, centered stencil."""
-    dminus = (values[2:] - values[:-2]) / (2.0 * h_minus)
-    return inverses[1:-1] @ dminus
+def _log_derivative(values: np.ndarray, inverses: np.ndarray, h: float) -> np.ndarray:
+    """beta^{-1} d_- beta over the grid: second-order differences along the first
+    axis, centered inside and one-sided on the edge rows."""
+    d = np.empty_like(values)
+    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return inverses @ d
+
+
+def _interior_dplus(u: np.ndarray, h_plus: float) -> np.ndarray:
+    """Centered d_+ of a log-derivative grid on the grid interior."""
+    return (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h_plus)
+
+
+def _connection_parts(system: TodaSystem, field: GridField, c: CBlocks):
+    """gamma^{-1} d_- gamma, the C_- lines and gamma^{-1} c_+ gamma over the grid."""
+    spec = field.spec
+    gamma, gamma_inv = _gamma_and_inverse(system, field)
+    cm = _c_lines(system, c, "-", spec.n_minus)
+    cp = _c_lines(system, c, "+", spec.n_plus)
+    return _log_derivative(gamma, gamma_inv, spec.h_minus), cm, gamma_inv @ cp[None, :] @ gamma
 
 
 def residual_full(system: TodaSystem, field: GridField, c: CBlocks) -> ResidualReport:
@@ -427,16 +454,10 @@ def residual_full(system: TodaSystem, field: GridField, c: CBlocks) -> ResidualR
     so each block of R matches the blockwise evaluation stencil for stencil.
     """
     spec = field.spec
-    gamma, gamma_inv = _gamma_and_inverse(system, field)
-    u = _interior_u(gamma, gamma_inv, spec.h_minus)
-    dpu = (u[:, 2:] - u[:, :-2]) / (2.0 * spec.h_plus)
-    cp = _c_lines(system, c, "+", spec.n_plus)
-    cm = _c_lines(system, c, "-", spec.n_minus)
-    w = gamma_inv @ cp[None, :] @ gamma
+    u, cm, w = _connection_parts(system, field, c)
     w_int = w[1:-1, 1:-1]
     cm_int = cm[1:-1][:, None]
-    commutator = cm_int @ w_int - w_int @ cm_int
-    residual = dpu - commutator
+    residual = _interior_dplus(u, spec.h_plus) - (cm_int @ w_int - w_int @ cm_int)
     slices = system.blocks.slices()
     grids = tuple(residual[..., sl, sl] for sl in slices)
     labels = tuple(f"block_{a}" for a in range(1, system.blocks.count + 1))
@@ -464,8 +485,8 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     labels = []
     for eq in independent_equations(system):
         a = eq.block
-        u = _interior_u(betas[a - 1], inverses[a - 1], spec.h_minus)
-        dpu = (u[:, 2:] - u[:, :-2]) / (2.0 * spec.h_plus)
+        u = _log_derivative(betas[a - 1], inverses[a - 1], spec.h_minus)
+        dpu = _interior_dplus(u, spec.h_plus)
         rhs = evaluate_rhs(eq, get_beta, get_c)
         rhs = np.broadcast_to(rhs, dpu.shape)
         grids.append(dpu - rhs)
@@ -473,26 +494,10 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     return ResidualReport(spec, tuple(labels), tuple(grids))
 
 
-def _d_with_edges(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order derivative along an axis: centered inside, one-sided at edges."""
-    moved = np.moveaxis(values, axis, 0)
-    out = np.empty_like(moved)
-    out[1:-1] = (moved[2:] - moved[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * moved[0] + 4.0 * moved[1] - moved[2]) / (2.0 * h)
-    out[-1] = (3.0 * moved[-1] - 4.0 * moved[-2] + moved[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
-
-
 def connection(system: TodaSystem, field: GridField, c: CBlocks):
     """Connection components (omega_minus, omega_plus) sampled on the full grid."""
-    spec = field.spec
-    gamma, gamma_inv = _gamma_and_inverse(system, field)
-    dgamma = _d_with_edges(gamma, spec.h_minus, axis=0)
-    cm = _c_lines(system, c, "-", spec.n_minus)
-    cp = _c_lines(system, c, "+", spec.n_plus)
-    omega_minus = gamma_inv @ dgamma + cm[:, None]
-    omega_plus = gamma_inv @ cp[None, :] @ gamma
-    return omega_minus, omega_plus
+    u, cm, w = _connection_parts(system, field, c)
+    return u + cm[:, None], w
 
 
 def curvature_residual(omega_minus: np.ndarray, omega_plus: np.ndarray, spec: GridSpec) -> ResidualReport:
@@ -520,8 +525,7 @@ def _as_line(value, length: int, k: int, what: str) -> np.ndarray:
     raise ShapeError(f"{what} must be a {k} x {k} matrix or a line of {length} of them")
 
 
-def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, xi_plus,
-                    tol: float = 1e-10):
+def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, xi_plus):
     """Apply gamma -> xi_+^{-1} gamma xi_- with chiral block-diagonal factors.
 
     ``xi_minus`` (``xi_plus``) supplies one value or sample line per
@@ -542,8 +546,8 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
         _as_line(x, spec.n_plus, sizes[a], f"xi_plus block {a + 1}")
         for a, x in enumerate(xi_plus)
     ]
-    xi_m_full = complete_betas(system, xi_m, check_tol=tol)
-    xi_p_full = complete_betas(system, xi_p, check_tol=tol)
+    xi_m_full = complete_betas(system, xi_m)
+    xi_p_full = complete_betas(system, xi_p)
     new_betas = []
     for a in range(count):
         left = _batched_inv(xi_p_full[a])[None, :]
@@ -560,7 +564,7 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
         new_p = _batched_inv(xp_here) @ plus_entry @ xp_next
         new_minus.append(_squeeze_constant(new_m))
         new_plus.append(_squeeze_constant(new_p))
-    new_c = make_c_blocks(system, new_minus, new_plus, tol=max(tol, 1e-10))
+    new_c = make_c_blocks(system, new_minus, new_plus, tol=1e-10)
     return GridField(spec, tuple(new_betas)), new_c
 
 

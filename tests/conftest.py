@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 import todakit as tk
 from todakit.liealg import symplectic_form, t_transpose
-from todakit.solver import CharacteristicData
+from todakit.solver import boundary_from_closure  # noqa: F401 (the tests import it from here)
 
 # One representative per constraint class, plus size variety.
 SYSTEM_CASES = {
@@ -90,22 +90,6 @@ def random_couplings(system: tk.TodaSystem, rng, scale=0.5) -> tk.CBlocks:
         minus.append(cm)
         plus.append(cp)
     return tk.make_c_blocks(system, minus, plus)
-
-
-def boundary_from_closure(system: tk.TodaSystem, spec: tk.GridSpec, closure) -> CharacteristicData:
-    sizes = system.blocks.sizes
-    count = system.independent_beta_count
-    left = [np.empty((spec.n_minus, sizes[a], sizes[a]), dtype=complex) for a in range(count)]
-    bottom = [np.empty((spec.n_plus, sizes[a], sizes[a]), dtype=complex) for a in range(count)]
-    for i, zm in enumerate(spec.z_minus):
-        values = closure(zm, spec.z_plus[0])
-        for a in range(count):
-            left[a][i] = values[a]
-    for j, zp in enumerate(spec.z_plus):
-        values = closure(spec.z_minus[0], zp)
-        for a in range(count):
-            bottom[a][j] = values[a]
-    return CharacteristicData(spec, tuple(left), tuple(bottom))
 
 
 @pytest.fixture

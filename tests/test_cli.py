@@ -222,6 +222,24 @@ def test_solve_malformed_boundary_is_invalid_input(tmp_path, capsys, mutate):
     assert len(err) == 1 and err[0].startswith("todakit: error[input]"), err
 
 
+@pytest.mark.parametrize("key, value", [("series", "C"), ("rank", 5), ("rank", None), ("blocks", 5)])
+def test_solve_rejects_boundary_of_another_system(tmp_path, capsys, key, value):
+    system = tk.build_system(tk.SeriesTag("D", 4), (1, 3, 3, 1))
+    c = tk.make_c_blocks(system, [np.zeros((3, 1)), np.zeros((3, 3))],
+                         [np.zeros((1, 3)), np.zeros((3, 3))])
+    spec = tk.GridSpec(0.0, 0.0, 0.25, 0.25, 5, 5)
+    lines = tuple(np.broadcast_to(np.eye(k, dtype=complex), (5, k, k)) for k in (1, 3))
+    boundary = boundary_to_document(system, tk.CharacteristicData(spec, lines, lines))
+    boundary[key] = value
+    system_file, boundary_file = tmp_path / "system.json", tmp_path / "boundary.json"
+    write_json(system_file, system_to_document(system, c))
+    write_json(boundary_file, boundary)
+    assert main(["solve", "--system", str(system_file), "--boundary", str(boundary_file),
+                 "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[input]"), err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["verify", "--system", "/nonexistent.json", "--grid", "/also-nope.json"]) == 2
     assert "error[input]" in capsys.readouterr().err

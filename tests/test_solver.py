@@ -18,6 +18,7 @@ from todakit.solver import (
 from todakit.toda import central_defect
 
 from conftest import (
+    ALL_CASES,
     SYSTEM_CASES,
     boundary_from_closure,
     build_case,
@@ -108,6 +109,18 @@ def test_march_preserves_constraints(constraint_class, rng):
         central = result.field.betas[-1].reshape(-1, *result.field.betas[-1].shape[-2:])
         assert central_defect(system, central) <= 1e-9
     assert np.isfinite(result.residual.max_norm)
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=str)
+def test_boundary_from_closure_is_the_field_edge(case, rng):
+    system = build_case(*case)
+    spec = tk.GridSpec(0.1, 0.2, 1 / 8, 1 / 16, 9, 17)
+    closure = smooth_closure(system, rng)
+    data = boundary_from_closure(system, spec, closure)
+    field = tk.field_from_closure(system, spec, closure)
+    for a, beta in enumerate(field.betas):
+        assert np.array_equal(data.left[a], beta[:, 0])
+        assert np.array_equal(data.bottom[a], beta[0, :])
 
 
 def test_determinant_tracking():

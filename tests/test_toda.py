@@ -11,6 +11,7 @@ from conftest import (
     ALL_CASES,
     SYSTEM_CASES,
     build_case,
+    central_generator,
     random_complex,
     random_couplings,
     smooth_closure,
@@ -407,3 +408,18 @@ def test_central_defect_reporting(rng):
     good = expm(0.3 * (lambda raw: 0.5 * (raw + tk.symplectic_form(1) @ raw.T @ tk.symplectic_form(1)))(random_complex(rng, (2, 2))))
     assert central_defect(system, good) <= 1e-12
     assert central_defect(system, 2 * np.eye(2, dtype=complex)) > 1.0
+
+
+@pytest.mark.parametrize("case", SYSTEM_CASES["BD-oddp"] + SYSTEM_CASES["C-oddp"], ids=str)
+def test_central_defect_matches_series_formula(case, rng):
+    system = build_case(*case)
+    k = system.blocks.sizes[system.blocks.count // 2]
+    eye = np.eye(k)
+    on_manifold = np.stack([expm(central_generator(system, rng)) for _ in range(4)])
+    for g in (on_manifold, random_complex(rng, (4, k, k), 0.5)):
+        if system.tag.series == "C":
+            form = tk.symplectic_form(k // 2)
+            explicit = np.max(np.abs(form @ np.swapaxes(g, -1, -2) @ form @ g + eye))
+        else:
+            explicit = np.max(np.abs(np.stack([t_transpose(x) for x in g]) @ g - eye))
+        assert central_defect(system, g) == pytest.approx(explicit, rel=1e-12, abs=1e-15)
