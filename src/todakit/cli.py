@@ -1,9 +1,12 @@
 """Command-line front end: grade, equations, verify, solve, selftest.
 
-File formats are JSON with sorted keys and 17-significant-digit floats, so
-identical inputs serialize to identical bytes.  Complex scalars are stored
-as [re, im] pairs.  Exit codes: 0 ok, 1 verification failed, 2 invalid
-input, 3 numeric degeneracy, 4 blow-up, 5 non-convergence.
+File formats are JSON with sorted keys and floats written with ``repr``, the
+shortest text that reads back to the same double, so identical inputs
+serialize to identical bytes.  Every complex array is stored as one flat
+row-major list of interleaved re, im floats; its shape comes from the
+document header (block sizes and grid size).  Exit codes: 0 ok, 1
+verification failed, 2 invalid input, 3 numeric degeneracy, 4 blow-up, 5
+non-convergence.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .toda import (
     GridField,
     GridSpec,
     TodaSystem,
+    _shape_of_c,
     block_residuals,
     build_system,
     connection,
@@ -74,52 +77,14 @@ def _format_scalar(value) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("non-finite float in output document")
-        return f"{value:.17g}"
+        return repr(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _array_template(shape: tuple[int, ...], indent: int) -> str:
-    """Layout of a nested float list of ``shape``, one %-placeholder per float."""
-    if not shape:
-        return "%.17g"
-    item = "  " * (indent + 1) + _array_template(shape[1:], indent + 1)
-    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * indent + "]"
-
-
-def _float_array_text(obj: list, indent: int) -> str | None:
-    """Text of a rectangular nested list of floats, or None for any other list.
-
-    Produces exactly what the element-by-element writer would, with one
-    ``%`` formatting pass per top-level row instead of one call per float.
-    """
-    shape = []
-    probe = obj
-    while type(probe) is list and probe:
-        shape.append(len(probe))
-        probe = probe[0]
-    if type(probe) is not float:
-        return None
-    row_shape = tuple(shape[1:])
-    template = "  " * (indent + 1) + _array_template(row_shape, indent + 1)
-    rows = []
-    for row in obj:
-        flat = [row]
-        for size in row_shape:
-            if set(map(type, flat)) != {list} or set(map(len, flat)) != {size}:
-                return None
-            flat = list(chain.from_iterable(flat))
-        if set(map(type, flat)) != {float}:
-            return None
-        if not all(map(math.isfinite, flat)):
-            raise ValueError("non-finite float in output document")
-        rows.append(template % tuple(flat))
-    return "[\n" + ",\n".join(rows) + "\n" + "  " * indent + "]"
-
-
 def dumps_deterministic(obj, indent: int = 0) -> str:
-    """JSON text with sorted keys and fixed float formatting."""
+    """JSON text with sorted keys and ``repr`` floats; a list of floats takes one line."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -133,48 +98,75 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if type(obj) is list:
-            text = _float_array_text(obj, indent)
-            if text is not None:
-                return text
+        if set(map(type, obj)) == {float}:
+            try:
+                return json.dumps(obj, allow_nan=False)
+            except ValueError:
+                raise ValueError("non-finite float in output document") from None
         parts = [f"{inner}{dumps_deterministic(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     return _format_scalar(obj)
 
 
-def matrix_to_json(arr: np.ndarray):
-    """Nested lists with [re, im] leaves."""
-    arr = np.asarray(arr, dtype=complex)
-    stacked = np.stack([arr.real, arr.imag], axis=-1)
-    return stacked.tolist()
+def matrix_to_json(arr: np.ndarray) -> list[float]:
+    """Flat row-major list of interleaved re, im floats."""
+    return np.ascontiguousarray(arr, complex).view(float).ravel().tolist()
 
 
 def json_to_matrix(data, shape: tuple[int, ...], what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != shape + (2,):
-        raise ValueError(f"{what}: expected shape {shape} of [re, im] pairs, got {arr.shape[:-1]}")
+    """The complex array of ``shape`` that ``matrix_to_json`` stored as ``data``."""
+    size = 2 * math.prod(shape)
+    if type(data) is not list or len(data) != size or not set(map(type, data)) <= {float, int}:
+        raise ValueError(f"{what}: expected a flat row-major list of {size} re, im numbers")
+    try:
+        arr = np.array(data, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{what}: number out of range") from None
     if not np.isfinite(arr).all():
         raise ValueError(f"{what}: non-finite value")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
-def _require(doc: dict, key: str, what: str):
-    """``doc[key]``, or a ValueError naming the missing key."""
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a finite number",
+               list: "a list", dict: "an object"}
+
+
+def _typed(doc: dict, key: str, kind: type, what: str):
+    """``doc[key]``, checked to be there and to have the JSON type ``kind``.
+
+    ``kind=float`` takes any finite JSON number and returns it as a float; a
+    bool is never a number.
+    """
     if key not in doc:
         raise ValueError(f"{what}: missing key {key!r}")
-    return doc[key]
+    value = doc[key]
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ValueError(f"{what}: {key} must be {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _int_list(doc: dict, key: str, what: str) -> list[int]:
+    """``doc[key]`` checked to be a list of JSON integers."""
+    values = _typed(doc, key, list, what)
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{what}: {key} must list integers")
+    return values
 
 
 def _block_list(doc: dict, key: str, count: int, what: str) -> list:
     """``doc[key]`` checked to be a list of ``count`` per-block entries."""
-    raw = _require(doc, key, what)
-    if not isinstance(raw, list) or len(raw) != count:
-        got = len(raw) if isinstance(raw, list) else type(raw).__name__
-        raise ValueError(f"{what}: {key} must list {count} blocks, got {got}")
+    raw = _typed(doc, key, list, what)
+    if len(raw) != count:
+        raise ValueError(f"{what}: {key} must list {count} blocks, got {len(raw)}")
     return raw
 
 
@@ -204,17 +196,15 @@ def _checked_header(doc: dict, kind: str, system: TodaSystem) -> GridSpec:
     if doc.get("kind") != kind:
         raise ValueError(f"not a {kind} document")
     name = kind.removeprefix("toda-")
-    if (_require(doc, "series", kind) != system.tag.series
-            or _require(doc, "rank", kind) != system.tag.rank):
+    if (_typed(doc, "series", str, kind) != system.tag.series
+            or _typed(doc, "rank", int, kind) != system.tag.rank):
         raise ValueError(f"{name} file does not match the system file's series/rank")
-    if _require(doc, "blocks", kind) != list(system.blocks.sizes):
+    if _int_list(doc, "blocks", kind) != list(system.blocks.sizes):
         raise ValueError(f"{name} file block sizes do not match the system file")
-    grid = _require(doc, "grid", kind)
-    if not isinstance(grid, dict):
-        raise ValueError("grid: expected a JSON object")
+    grid = _typed(doc, "grid", dict, kind)
     return GridSpec(
-        *(float(_require(grid, key, "grid")) for key in _GRID_FLOATS),
-        *(int(_require(grid, key, "grid")) for key in _GRID_INTS),
+        *(_typed(grid, key, float, "grid") for key in _GRID_FLOATS),
+        *(_typed(grid, key, int, "grid") for key in _GRID_INTS),
     )
 
 
@@ -228,25 +218,23 @@ def system_to_document(system: TodaSystem, c: CBlocks, metadata: dict | None = N
 
 
 def system_from_document(doc: dict) -> tuple[TodaSystem, CBlocks]:
-    if doc.get("kind") != "toda-system":
-        raise ValueError("not a toda-system document")
     what = "toda-system"
-    tag = SeriesTag(_require(doc, "series", what), int(_require(doc, "rank", what)))
-    system = build_system(tag, [int(k) for k in _require(doc, "blocks", what)])
-    sizes = system.blocks.sizes
+    if doc.get("kind") != what:
+        raise ValueError("not a toda-system document")
+    tag = SeriesTag(_typed(doc, "series", str, what), _typed(doc, "rank", int, what))
+    system = build_system(tag, _int_list(doc, "blocks", what))
     p = system.blocks.count
 
     def family(key: str, sign: str):
-        raw = _require(doc, key, what)
+        raw = _typed(doc, key, list, what)
         if len(raw) not in (p - 1, system.independent_c_count):
             raise ValueError(
                 f"{key}: expected {system.independent_c_count} or {p - 1} blocks, got {len(raw)}"
             )
-        out = []
-        for a, entry in enumerate(raw, start=1):
-            shape = (sizes[a], sizes[a - 1]) if sign == "-" else (sizes[a - 1], sizes[a])
-            out.append(json_to_matrix(entry, shape, f"{key}[{a - 1}]"))
-        return out
+        return [
+            json_to_matrix(entry, _shape_of_c(system, sign, a), f"{key}[{a - 1}]")
+            for a, entry in enumerate(raw, start=1)
+        ]
 
     c = make_c_blocks(system, family("c_minus", "-"), family("c_plus", "+"))
     return system, c
@@ -263,7 +251,10 @@ def grid_from_document(doc: dict, system: TodaSystem) -> GridField:
     what = "toda-grid"
     spec = _checked_header(doc, what, system)
     sizes = system.blocks.sizes
-    raw = _block_list(doc, "betas", system.independent_beta_count, what)
+    count = system.independent_beta_count
+    if _int_list(doc, "block_index", what) != list(range(1, count + 1)):
+        raise ValueError(f"{what}: block_index must list 1..{count}")
+    raw = _block_list(doc, "betas", count, what)
     betas = [
         json_to_matrix(entry, (spec.n_minus, spec.n_plus, sizes[a], sizes[a]), f"betas[{a}]")
         for a, entry in enumerate(raw)

@@ -12,7 +12,9 @@ from todakit.cli import (
     boundary_to_document,
     dumps_deterministic,
     grid_to_document,
+    json_to_matrix,
     main,
+    matrix_to_json,
     system_to_document,
 )
 from todakit.solver import liouville_boundary, liouville_field
@@ -148,7 +150,7 @@ def test_solve_singular_corner(tmp_path, capsys):
     lv = liouville_field(spec)
     data = liouville_boundary(spec)
     doc = boundary_to_document(lv.system, data)
-    doc["left"][0][2] = [[[0.0, 0.0]]]  # kill one 1 x 1 sample
+    doc["left"][0][4:6] = [0.0, 0.0]  # kill one 1 x 1 sample (re, im of sample 2)
     system_file = tmp_path / "system.json"
     boundary_file = tmp_path / "boundary.json"
     write_json(system_file, system_to_document(lv.system, lv.c))
@@ -202,7 +204,7 @@ def _short_left(doc):
 
 
 def _nan_sample(doc):
-    doc["left"][0][2][0][0][0] = float("nan")
+    doc["left"][0][4] = float("nan")  # re of sample 2
     return doc
 
 
@@ -240,6 +242,108 @@ def test_solve_rejects_boundary_of_another_system(tmp_path, capsys, key, value):
     assert len(err) == 1 and err[0].startswith("todakit: error[input]"), err
 
 
+def _one_input_error(capsys) -> str:
+    """The single stderr line, checked to be an input error."""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[input]"), err
+    return err[0]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rank", None), ("rank", 1.5), ("blocks", None), ("blocks", [1.5, 1.5]),
+    ("c_minus", 5), ("c_minus", [{}]),
+])
+def test_malformed_system_is_invalid_input(tmp_path, capsys, key, value):
+    doc = json.loads((GOLDEN / "system_liouville.json").read_text())
+    doc[key] = value
+    system_file = tmp_path / "system.json"
+    system_file.write_text(json.dumps(doc))
+    assert main(["equations", "--system", str(system_file)]) == 2
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("key, value", [("h_minus", None), ("n_minus", [9]), ("n_minus", 9.5)])
+def test_malformed_boundary_grid_is_invalid_input(tmp_path, capsys, key, value):
+    doc = json.loads((GOLDEN / "boundary_liouville_9x9.json").read_text())
+    doc["grid"][key] = value
+    boundary_file = tmp_path / "boundary.json"
+    boundary_file.write_text(json.dumps(doc))
+    assert main(["solve", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--boundary", str(boundary_file), "--out", str(tmp_path / "x.json")]) == 2
+    _one_input_error(capsys)
+
+
+def test_solve_rejects_old_nested_layout(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "boundary_liouville_9x9.json").read_text())
+    for key in ("left", "bottom"):  # the former layout: nested rows of [re, im] pairs
+        doc[key] = [np.reshape(flat, (9, 1, 1, 2)).tolist() for flat in doc[key]]
+    boundary_file = tmp_path / "boundary.json"
+    boundary_file.write_text(json.dumps(doc))
+    assert main(["solve", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--boundary", str(boundary_file), "--out", str(tmp_path / "x.json")]) == 2
+    assert "flat row-major list" in _one_input_error(capsys)
+
+
+def _sites(node, path=()):
+    """Paths to every value inside ``node``; of a list of numbers only the two ends."""
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        numbers = all(type(item) in (int, float) for item in node)
+        keys = sorted({0, len(node) - 1}) if numbers else range(len(node))
+    else:
+        return
+    for key in keys:
+        yield path + (key,)
+        yield from _sites(node[key], path + (key,))
+
+
+_DROP = object()
+
+
+def _mutants(doc):
+    """Copies of ``doc`` with one value dropped or swapped for null, another
+    JSON type, a list of the wrong length or (for an integer) a fraction."""
+    for path in _sites(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        swaps = [None, True, "x", {}, []]
+        swaps += [value[:-1], value + value[-1:]] if isinstance(value, list) else [[value]]
+        swaps += [1.5] if type(value) is int else []
+        for swap in [_DROP] + swaps:
+            mutant = json.loads(json.dumps(doc))
+            parent = mutant
+            for key in path[:-1]:
+                parent = parent[key]
+            if swap is _DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = swap
+            yield f"{path} -> {'dropped' if swap is _DROP else json.dumps(swap)}", mutant
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("system_liouville.json", ["equations", "--system", "{file}"]),
+    ("boundary_liouville_9x9.json", ["solve", "--system", str(GOLDEN / "system_liouville.json"),
+                                     "--boundary", "{file}", "--out", "{out}"]),
+    ("grid_liouville_5x5.json", ["verify", "--system", str(GOLDEN / "system_liouville.json"),
+                                 "--grid", "{file}"]),
+], ids=["system", "boundary", "grid"])
+def test_mutated_golden_documents_are_invalid_input(tmp_path, capsys, name, argv):
+    doc_file, out_file = tmp_path / name, tmp_path / "out.json"
+    args = [arg.format(file=doc_file, out=out_file) for arg in argv]
+    mutants = list(_mutants(json.loads((GOLDEN / name).read_text())))
+    failures = []
+    for label, mutant in mutants:
+        doc_file.write_text(json.dumps(mutant))
+        code = main(args)
+        err = capsys.readouterr().err.splitlines()
+        if code != 2 or len(err) != 1 or not err[0].startswith("todakit: error[input]"):
+            failures.append((label, code, err))
+    assert len(mutants) > 100 and not failures, failures
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["verify", "--system", "/nonexistent.json", "--grid", "/also-nope.json"]) == 2
     assert "error[input]" in capsys.readouterr().err
@@ -265,14 +369,14 @@ def _reference_scalar(value) -> str:
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError("non-finite float in output document")
-        return f"{value:.17g}"
+        return repr(float(value))
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def _reference_dumps(obj, indent: int = 0) -> str:
-    """The recursive writer, one call per list and per scalar."""
+    """The recursive writer, one call per list and per scalar; a list of floats on one line."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -286,6 +390,8 @@ def _reference_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(item) is float for item in obj):
+            return "[" + ", ".join(_reference_scalar(item) for item in obj) + "]"
         parts = [f"{inner}{_reference_dumps(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     return _reference_scalar(obj)
@@ -361,3 +467,32 @@ def test_dumps_rejects_non_finite_float_in_array(arr, bad, data):
     parent[last] = bad
     with pytest.raises(ValueError, match="non-finite"):
         dumps_deterministic({"betas": [arr]})
+
+
+# ---------------------------------------------------------------------------
+# matrix_to_json / json_to_matrix
+
+
+_complex_parts = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+_matrix_shapes = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    st.integers(1, 3).flatmap(lambda k: st.tuples(st.integers(1, 4), st.just(k), st.just(k))),
+    st.integers(1, 3).flatmap(
+        lambda k: st.tuples(st.integers(1, 4), st.integers(1, 4), st.just(k), st.just(k))
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_matrix_shapes, data=st.data())
+def test_matrix_json_round_trip_is_bit_exact(shape, data):
+    size = 2 * math.prod(shape)
+    parts = data.draw(st.lists(_complex_parts, min_size=size, max_size=size))
+    arr = np.array(parts, dtype=float).view(complex).reshape(shape)
+    # a column-major copy must still be written in row-major order
+    text = dumps_deterministic({"betas": [matrix_to_json(np.asfortranarray(arr))]})
+    back = json_to_matrix(json.loads(text)["betas"][0], shape, "betas[0]")
+    assert back.shape == shape and back.tobytes() == arr.tobytes()
