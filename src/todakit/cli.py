@@ -19,10 +19,9 @@ import sys
 import numpy as np
 
 from .cartan import cartan_matrix
-from .exact import ShapeError, SingularMatrixError
+from .exact import SingularMatrixError
 from .grading import (
     DynkinLabels,
-    GradationError,
     graded_decomposition,
     labels_to_block_structure,
     levi_type,
@@ -40,8 +39,6 @@ from .solver import (
 )
 from .toda import (
     CBlocks,
-    ConstraintError,
-    DomainError,
     GridField,
     GridSpec,
     TodaSystem,
@@ -208,12 +205,14 @@ def _checked_header(doc: dict, kind: str, system: TodaSystem) -> GridSpec:
     )
 
 
-def system_to_document(system: TodaSystem, c: CBlocks, metadata: dict | None = None) -> dict:
+def system_to_document(system: TodaSystem, c: CBlocks) -> dict:
+    """The system file of ``system`` and its couplings, which must be constant."""
     doc = _header("toda-system", system)
-    doc["c_minus"] = [matrix_to_json(entry) for entry in c.minus]
-    doc["c_plus"] = [matrix_to_json(entry) for entry in c.plus]
-    if metadata:
-        doc["metadata"] = metadata
+    for key, entries in (("c_minus", c.minus), ("c_plus", c.plus)):
+        for a, entry in enumerate(entries):
+            if entry.ndim != 2:
+                raise ValueError(f"{key}[{a}] varies along its line; system files hold constant couplings")
+        doc[key] = [matrix_to_json(entry) for entry in entries]
     return doc
 
 
@@ -361,6 +360,8 @@ def cmd_equations(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     system, c = system_from_document(_load_json(args.system))
     field = grid_from_document(_load_json(args.grid), system)
     blocks = block_residuals(system, field, c)
@@ -496,10 +497,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"todakit: error[input]: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except (ShapeError, ConstraintError, GradationError, DomainError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # JSON, shape, constraint, gradation, domain errors too
         print(f"todakit: error[input]: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except SingularMatrixError as exc:

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .liealg import symplectic_form
+from .liealg import symplectic_form, t_transpose
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,6 @@ def emit_equations(system, fmt: str = "text"):
     return "\n".join(lines)
 
 
-def _twisted_transpose(values: np.ndarray) -> np.ndarray:
-    return np.swapaxes(values[..., ::-1, ::-1], -1, -2)
-
-
 def _factor_value(factor: Factor, get_beta, get_c) -> np.ndarray:
     if factor.base == "form":
         return symplectic_form(factor.index).astype(complex)
@@ -221,7 +217,7 @@ def _factor_value(factor: Factor, get_beta, get_c) -> np.ndarray:
     if factor.inverse:
         value = np.linalg.inv(value)
     if factor.twist == "T":
-        value = _twisted_transpose(value)
+        value = t_transpose(value)
     elif factor.twist == "t":
         value = np.swapaxes(value, -1, -2)
     return value

@@ -2,7 +2,8 @@
 
 Series A is realized on gl(r+1) (sl via the trace predicate), series B and D
 on the orthogonal algebras defined by the antidiagonal bilinear form, and
-series C on the symplectic algebra for the antidiagonal symplectic form.
+series C on the symplectic algebra for the antidiagonal symplectic form;
+``invariant_form`` gives each series' form and ``t_transpose`` the twist.
 All indices in the public API are 1-based, matching the unit matrices
 e_{i,j}; matrices built here carry exact integer (or Fraction) entries and
 promote to complex automatically in floating computations.
@@ -85,18 +86,37 @@ def symplectic_form(r: int) -> np.ndarray:
     return np.block([[zero, tilde], [-tilde, zero]])
 
 
+def invariant_form(series: str, n: int) -> np.ndarray | None:
+    """The bilinear form F on the n-dimensional defining space of a series.
+
+    None for A (no form), the antidiagonal unit for B/D and the symplectic
+    form for C (n even).  The group preserves F (g^t F g = F) and the algebra
+    is skew with respect to it (x^t F + F x = 0).
+    """
+    if series == "A":
+        return None
+    return symplectic_form(n // 2) if series == "C" else antidiag_unit(n)
+
+
+def form_defect(form: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g^t F g - F; vanishes exactly when g (or each matrix of a stack) preserves F."""
+    return np.swapaxes(g, -1, -2) @ form @ g - form
+
+
 def t_transpose(a: np.ndarray) -> np.ndarray:
     """Antidiagonal-twisted transpose: flip both axes, then transpose.
 
     Equals I~_{k2} a^t I~_{k1} for a k1 x k2 matrix; an involution on square
-    matrices, with (ab)^T = b^T a^T.
+    matrices, with (ab)^T = b^T a^T.  Acts on the last two axes of a stack
+    and, like ``ndarray.T``, returns a view: copy it before writing to it.
     """
-    if a.ndim != 2:
-        raise ShapeError("expected a 2-d matrix")
-    return a[::-1, ::-1].T.copy()
+    if a.ndim < 2:
+        raise ShapeError("expected a matrix or a stack of matrices")
+    return np.swapaxes(a[..., ::-1, ::-1], -1, -2)
 
 
-def _max_abs(a: np.ndarray):
+def _max_abs(a):
+    """Largest entry magnitude; exact for object arrays, 0 for an empty array."""
     if a.size == 0:
         return 0.0
     if a.dtype == object:
@@ -119,6 +139,7 @@ def algebra_membership(tag: SeriesTag, x: np.ndarray, tol=None, *, general_linea
 
     Series A checks the sl condition (zero trace) unless ``general_linear``
     is set, in which case every square matrix of the right size passes.
+    B, C and D check x^t F + F x = 0 for the series' ``invariant_form``.
     With ``tol=None`` the tolerance defaults to 0 for exact (integer or
     Fraction) inputs and 1e-10 for floating ones.
     """
@@ -126,13 +147,11 @@ def algebra_membership(tag: SeriesTag, x: np.ndarray, tol=None, *, general_linea
     if x.shape != (n, n):
         raise ShapeError(f"expected a {n} x {n} matrix, got {x.shape}")
     tol = _resolve_tol(x, tol)
-    if tag.series == "A":
+    form = invariant_form(tag.series, n)
+    if form is None:
         defect = 0 if general_linear else abs(x.trace())
-    elif tag.series in ("B", "D"):
-        defect = _max_abs(t_transpose(x) + x)
     else:
-        form = symplectic_form(tag.rank)
-        defect = _max_abs(form @ x.T @ form - x)
+        defect = _max_abs(x.T @ form + form @ x)
     return Membership(bool(defect <= tol), defect)
 
 
@@ -140,23 +159,19 @@ def group_membership(tag: SeriesTag, g: np.ndarray, tol=None) -> Membership:
     """Test membership of g in the series' matrix group.
 
     Series A is the GL test: the verdict is invertibility (|det g| > tol)
-    and the defect is 0 for members.  B/D check the twisted orthogonality
-    relation, C the symplectic one.
+    and the defect is 0 for members.  B, C and D check that g preserves the
+    series' ``invariant_form``; the defect is max|g^t F g - F|.
     """
     n = tag.ambient_dim
     if g.shape != (n, n):
         raise ShapeError(f"expected a {n} x {n} matrix, got {g.shape}")
     tol = _resolve_tol(g, tol)
-    eye = np.eye(n)
-    if tag.series == "A":
+    form = invariant_form(tag.series, n)
+    if form is None:
         det = np.linalg.det(np.asarray(g, dtype=complex))
         ok = abs(det) > tol
         return Membership(bool(ok), 0.0 if ok else math.inf)
-    if tag.series in ("B", "D"):
-        defect = _max_abs(t_transpose(g) @ g - eye)
-    else:
-        form = symplectic_form(tag.rank)
-        defect = _max_abs(form @ g.T @ form @ g + eye)
+    defect = _max_abs(form_defect(form, g))
     return Membership(bool(defect <= tol), defect)
 
 

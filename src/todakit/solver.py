@@ -20,7 +20,7 @@ import numpy as np
 
 from .equations import evaluate_rhs, independent_equations
 from .exact import ShapeError
-from .liealg import SeriesTag
+from .liealg import SeriesTag, _max_abs, form_defect
 from .toda import (
     CBlocks,
     DomainError,
@@ -29,8 +29,6 @@ from .toda import (
     ResidualReport,
     TodaSystem,
     _c_samples,
-    _central_residual,
-    _max_abs,
     _sample_closure,
     block_residuals,
     build_system,
@@ -149,7 +147,7 @@ def _project_central(system: TodaSystem, g: np.ndarray) -> np.ndarray:
     form = system.central_form().astype(complex)
     form_inv = np.linalg.inv(form)
     for _ in range(3):
-        defect = _central_residual(form, g)
+        defect = form_defect(form, g)
         if _max_abs(defect) < 1e-14 * (1.0 + _max_abs(g)):
             break
         g = g @ (np.eye(g.shape[-1]) - 0.5 * form_inv @ defect)
@@ -198,7 +196,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     # couplings at the stations: C_- lines at the row half-points, C_+ lines at
     # the column midpoints (picked by column in get_c)
     c_half = {
-        sign: [e if e.ndim == 2 else 0.5 * (e[:-1] + e[1:]) for e in _c_samples(c, sign, lines)]
+        sign: [0.5 * (e[:-1] + e[1:]) for e in _c_samples(c, sign, lines)]
         for sign, lines in (("-", ni), ("+", nj))
     }
 
@@ -211,7 +209,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
 
         def get_c(sign, a):
             entry = c_half[sign][a - 1]
-            return entry[j] if sign == "+" and entry.ndim == 3 else entry
+            return entry[j] if sign == "+" else entry
 
         return [evaluate_rhs(eq, get_beta, get_c) for eq in equations]
 

@@ -2,9 +2,12 @@
 
 A system is fixed by a series tag and a block partition with unit steps.
 Fields are block-diagonal (independent blocks stored, dependent blocks
-reconstructed from the series constraints), the couplings sit on the block
+reconstructed from the series constraints, whose twisted transpose and
+invariant forms come from ``liealg``), the couplings sit on the block
 sub/superdiagonals, and residuals of the governing matrix equation are
 evaluated with centered second-order differences on the grid interior.
+A coupling entry is one constant block or one sample per line of its
+chirality; ``_c_samples`` is the one place that tells the two apart.
 """
 
 from __future__ import annotations
@@ -14,15 +17,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equations import (
-    emit_equations,
-    evaluate_rhs,
-    independent_equations,
-    _twisted_transpose,
-)
+from .equations import emit_equations, evaluate_rhs, independent_equations
 from .exact import ShapeError, SingularMatrixError
 from .grading import BlockStructure, canonical_block_operator
-from .liealg import SeriesTag, antidiag_unit, symplectic_form
+from .liealg import SeriesTag, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
 
 __all__ = [
     "ConstraintError",
@@ -55,17 +53,6 @@ class ConstraintError(ValueError):
 
 class DomainError(ValueError):
     """Evaluation left the sampled domain or hit an excluded locus."""
-
-
-_tt = _twisted_transpose
-
-
-def _plain_t(values: np.ndarray) -> np.ndarray:
-    return np.swapaxes(values, -1, -2)
-
-
-def _max_abs(arr) -> float:
-    return float(np.max(np.abs(arr))) if np.size(arr) else 0.0
 
 
 @dataclass(frozen=True)
@@ -108,14 +95,9 @@ class TodaSystem:
         return p - 1 if self.tag.series == "A" else p // 2
 
     def central_form(self) -> np.ndarray | None:
-        """Twisting matrix of the central block, when the block count is odd."""
+        """``invariant_form`` of the central block when the block count is odd, else None."""
         p = self.blocks.count
-        if self.tag.series == "A" or p % 2 == 0:
-            return None
-        k = self.blocks.sizes[p // 2]
-        if self.tag.series == "C":
-            return symplectic_form(k // 2)
-        return antidiag_unit(k)
+        return invariant_form(self.tag.series, self.blocks.sizes[p // 2]) if p % 2 else None
 
 
 def build_system(tag: SeriesTag, sizes) -> TodaSystem:
@@ -174,20 +156,20 @@ def _c_relations(system: TodaSystem, sign: str) -> list:
         return []
 
     def mirror(x):
-        return -_tt(x)
+        return -t_transpose(x)
 
     # B/D mirror every a <= s (the centre onto itself for even p); C twists its centre
     table = [(a, p - a, mirror, f"C_{{{sign}{a}}}^T = -C_{{{sign}{p - a}}}")
              for a in range(1, s if cs.startswith("C") else s + 1)]
     if cs == "C-oddp":  # central pair twisted by the small symplectic form
         itld = antidiag_unit(system.blocks.sizes[s - 1]).astype(complex)
-        jf = symplectic_form(system.blocks.sizes[s] // 2).astype(complex)
+        jf = system.central_form().astype(complex)
         if sign == "-":
-            table.append((s, s + 1, lambda x: -(itld @ _plain_t(x) @ jf), "twisted central pair"))
+            table.append((s, s + 1, lambda x: -(itld @ np.swapaxes(x, -1, -2) @ jf), "twisted central pair"))
         else:
-            table.append((s, s + 1, lambda x: jf @ _plain_t(x) @ itld, "twisted central pair"))
+            table.append((s, s + 1, lambda x: jf @ np.swapaxes(x, -1, -2) @ itld, "twisted central pair"))
     elif cs == "C-evenp":
-        table.append((s, s, _tt, f"C_{{{sign}{s}}}^T = C_{{{sign}{s}}}"))
+        table.append((s, s, t_transpose, f"C_{{{sign}{s}}}^T = C_{{{sign}{s}}}"))
     return table
 
 
@@ -239,31 +221,38 @@ def _place_blocks(system: TodaSystem, blocks, offset: int) -> np.ndarray:
 
 
 def _c_samples(c: CBlocks, sign: str, count: int) -> tuple[np.ndarray, ...]:
-    """One coupling family, its line-sampled entries checked for ``count`` samples."""
+    """One coupling family as ``count`` samples per entry along its chirality line.
+
+    A line entry must hold ``count`` samples; a constant entry comes back as a
+    read-only broadcast view of its one block.
+    """
     entries = c.minus if sign == "-" else c.plus
     for a, entry in enumerate(entries, start=1):
         if entry.ndim == 3 and entry.shape[0] != count:
             raise ShapeError(
                 f"coupling C_{{{sign}{a}}} has {entry.shape[0]} samples, grid needs {count}"
             )
-    return entries
+    return tuple(np.broadcast_to(e, (count,) + e.shape[-2:]) for e in entries)
 
 
-def assemble_c(system: TodaSystem, c: CBlocks, sign: str, line_index: int | None = None) -> np.ndarray:
-    """Full n x n coupling matrix with blocks on the sub- or superdiagonal."""
+def assemble_c(system: TodaSystem, c: CBlocks, sign: str) -> np.ndarray:
+    """Full n x n coupling matrix with the blocks of C_- (``sign`` "-") on the
+    block subdiagonal or of C_+ ("+") on the superdiagonal.
+
+    Takes constant couplings only and raises ValueError on an entry that
+    varies along its line; ``connection`` samples such couplings on the grid.
+    """
     if sign not in ("-", "+"):
         raise ValueError("sign must be '-' or '+'")
     entries = c.minus if sign == "-" else c.plus
-    if line_index is None and any(e.ndim == 3 for e in entries):
-        raise ValueError("coupling varies along the grid; a line index is required")
-    blocks = [e[line_index] if e.ndim == 3 else e for e in entries]
-    return _place_blocks(system, blocks, -1 if sign == "-" else 1)
+    if any(e.ndim == 3 for e in entries):
+        raise ValueError(f"C_{sign} varies along the grid; assemble_c takes constant couplings only")
+    return _place_blocks(system, entries, -1 if sign == "-" else 1)
 
 
 def _c_lines(system: TodaSystem, c: CBlocks, sign: str, count: int) -> np.ndarray:
     """Coupling matrices materialized on each line of the relevant chirality."""
-    blocks = [np.broadcast_to(e, (count,) + e.shape[-2:]) for e in _c_samples(c, sign, count)]
-    return _place_blocks(system, blocks, -1 if sign == "-" else 1)
+    return _place_blocks(system, _c_samples(c, sign, count), -1 if sign == "-" else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +266,6 @@ def _batched_inv(values: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(f"singular block sample: {exc}") from exc
 
 
-def _central_residual(form: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g^t F g - F, which vanishes exactly on the central block's group manifold."""
-    return _plain_t(g) @ form @ g - form
-
-
 def central_defect(system: TodaSystem, central: np.ndarray) -> float:
     """Constraint defect max|g^t F g - F| of the self-paired central block (odd block count).
 
@@ -291,7 +275,7 @@ def central_defect(system: TodaSystem, central: np.ndarray) -> float:
     form = system.central_form()
     if form is None:
         raise ValueError("system has no central block")
-    return _max_abs(_central_residual(form, central))
+    return _max_abs(form_defect(form, central))
 
 
 def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -> list[np.ndarray]:
@@ -316,7 +300,7 @@ def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -
             )
     full = values + [None] * (p - want)
     for a in range(1, p // 2 + 1):
-        full[p - a] = _batched_inv(_tt(values[a - 1]))
+        full[p - a] = _batched_inv(t_transpose(values[a - 1]))
     return full
 
 
@@ -476,10 +460,8 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     samples = {"-": _c_samples(c, "-", spec.n_minus), "+": _c_samples(c, "+", spec.n_plus)}
 
     def get_c(sign, a):
-        entry = samples[sign][a - 1]
-        if entry.ndim == 2:
-            return entry
-        return entry[1:-1][:, None] if sign == "-" else entry[1:-1][None, :]
+        entry = samples[sign][a - 1][1:-1]
+        return entry[:, None] if sign == "-" else entry[None, :]
 
     grids = []
     labels = []

@@ -92,6 +92,18 @@ def random_couplings(system: tk.TodaSystem, rng, scale=0.5) -> tk.CBlocks:
     return tk.make_c_blocks(system, minus, plus)
 
 
+def line_couplings(system: tk.TodaSystem, c: tk.CBlocks, spec: tk.GridSpec) -> tk.CBlocks:
+    """``c`` varied along the grid: each independent entry times a scalar
+    profile on its chirality line (C_- along z_minus, C_+ along z_plus), the
+    dependent entries completed by ``make_c_blocks``."""
+    want = system.independent_c_count
+    minus = [(1.0 + 0.3 * np.sin(spec.z_minus + a))[:, None, None] * e
+             for a, e in enumerate(c.minus[:want])]
+    plus = [(1.0 + 0.2 * np.cos(2.0 * spec.z_plus - a))[:, None, None] * e
+            for a, e in enumerate(c.plus[:want])]
+    return tk.make_c_blocks(system, minus, plus)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)

@@ -349,6 +349,32 @@ def test_missing_file_exit_code(capsys):
     assert "error[input]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_rejects_non_finite_or_negative_tolerance(capsys, tol):
+    assert main(["verify", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--grid", str(GOLDEN / "grid_liouville_5x5.json"), "--tol", tol]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[input]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["equations", "--system", str(GOLDEN)],
+    ["solve", "--system", str(GOLDEN / "system_liouville.json"),
+     "--boundary", str(GOLDEN / "boundary_liouville_9x9.json"), "--out", "{dir}"],
+], ids=["read", "write"])
+def test_directory_in_place_of_a_file_is_invalid_input(tmp_path, capsys, argv):
+    assert main([arg.format(dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[input]")
+
+
+def test_system_writer_rejects_line_couplings():
+    lv = liouville_field(tk.GridSpec(0.0, 8.0, 0.25, 0.25, 5, 5))
+    c = tk.make_c_blocks(lv.system, [np.full((5, 1, 1), -1.0)], lv.c.plus)
+    with pytest.raises(ValueError, match=r"c_minus\[0\].*constant couplings"):
+        system_to_document(lv.system, c)
+
+
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

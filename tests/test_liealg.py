@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from todakit.exact import rational_matrix
+from todakit.exact import ShapeError, rational_matrix
 from todakit.liealg import (
     SeriesTag,
     algebra_basis,
@@ -69,6 +69,14 @@ def test_t_transpose_values():
     assert t_transpose(np.array([[1, 2], [3, 4]])).tolist() == [[4, 2], [3, 1]]
     assert np.array_equal(t_transpose(np.eye(4)), np.eye(4))
     assert t_transpose(np.array([[5, 7]])).tolist() == [[7], [5]]
+    stack = np.arange(2 * 3 * 2 * 4).reshape(2, 3, 2, 4)
+    twisted = t_transpose(stack)
+    assert twisted.shape == (2, 3, 4, 2) and np.shares_memory(twisted, stack)
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(twisted[index], t_transpose(stack[index]))
+        assert np.array_equal(twisted[index], antidiag_unit(4) @ stack[index].T @ antidiag_unit(2))
+    with pytest.raises(ShapeError):
+        t_transpose(np.arange(3))
 
 
 def test_t_transpose_involution_and_antimultiplicative():

@@ -12,6 +12,7 @@ from conftest import (
     SYSTEM_CASES,
     build_case,
     central_generator,
+    line_couplings,
     random_complex,
     random_couplings,
     smooth_closure,
@@ -49,6 +50,9 @@ def test_assemble_c_single_block():
     assert full.tolist() == [[0, 0], [-1, 0]]
     full = tk.assemble_c(system, c, "+")
     assert full.tolist() == [[0, 1], [0, 0]]
+    line = tk.make_c_blocks(system, [np.full((3, 1, 1), -1.0)], [np.array([[1.0]])])
+    with pytest.raises(ValueError, match="constant couplings only"):
+        tk.assemble_c(system, line, "-")
 
 
 def test_assemble_c_completion_and_membership(rng):
@@ -176,11 +180,12 @@ def test_block_full_equivalence(case, rng):
         closure = smooth_closure(system, rng)
         field = tk.field_from_closure(system, spec, closure)
         c = random_couplings(system, rng)
-        rb = tk.block_residuals(system, field, c)
-        rf = tk.residual_full(system, field, c)
-        for a, grid in enumerate(rb.grids):
-            scale = max(np.max(np.abs(rf.grids[a])), 1e-30)
-            assert np.max(np.abs(grid - rf.grids[a])) <= 1e-13 * scale
+        for couplings in (c, line_couplings(system, c, spec)):
+            rb = tk.block_residuals(system, field, couplings)
+            rf = tk.residual_full(system, field, couplings)
+            for a, grid in enumerate(rb.grids):
+                scale = max(np.max(np.abs(rf.grids[a])), 1e-30)
+                assert np.max(np.abs(grid - rf.grids[a])) <= 1e-13 * scale
 
 
 def test_connection_identities():
