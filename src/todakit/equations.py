@@ -210,30 +210,108 @@ def emit_equations(system, fmt: str = "text"):
     return "\n".join(lines)
 
 
-def _factor_value(factor: Factor, get_beta, get_c) -> np.ndarray:
-    if factor.base == "form":
-        return symplectic_form(factor.index).astype(complex)
-    value = get_beta(factor.index) if factor.base == "beta" else get_c(factor.sign, factor.index)
-    if factor.inverse:
-        value = np.linalg.inv(value)
-    if factor.twist == "T":
-        value = t_transpose(value)
-    elif factor.twist == "t":
-        value = np.swapaxes(value, -1, -2)
-    return value
+def batched_inverse(values: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack; a plain reciprocal for 1 x 1 matrices.
+
+    Raises ``np.linalg.LinAlgError`` on an exactly singular matrix, as
+    ``np.linalg.inv`` does.
+    """
+    if values.shape[-2:] == (1, 1):
+        if not values.all():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return 1.0 / values
+    return np.linalg.inv(values)
+
+
+def _stacked_inverses(values: list[np.ndarray]) -> list[np.ndarray]:
+    """``batched_inverse`` of each array, with one call per distinct array shape."""
+    by_shape: dict[tuple, list[int]] = {}
+    for i, value in enumerate(values):
+        by_shape.setdefault(value.shape, []).append(i)
+    out = [None] * len(values)
+    for members in by_shape.values():
+        if len(members) == 1:
+            out[members[0]] = batched_inverse(values[members[0]])
+            continue
+        inverses = batched_inverse(np.stack([values[i] for i in members]))
+        for pos, i in enumerate(members):
+            out[i] = inverses[pos]
+    return out
+
+
+class StationPlan:
+    """The right-hand sides of a list of equations, compiled for evaluation
+    at many stations.
+
+    The plan is read off the structured term lists: every distinct factor is
+    resolved once per evaluation, the distinct inverted fields are inverted
+    together (one stacked ``batched_inverse`` per sample shape), the forms
+    are built once here and twists are views.
+    """
+
+    def __init__(self, equations):
+        self.equations = tuple(equations)
+        slots: dict[Factor, int] = {}
+        terms = []
+        for eq in self.equations:
+            if not eq.terms:
+                raise ValueError("equation has no terms")
+            terms.append(tuple(
+                (t.sign, tuple(slots.setdefault(f, len(slots)) for f in t.factors))
+                for t in eq.terms
+            ))
+        self._terms = tuple(terms)
+        self._factors = tuple(slots)
+        sources: dict[tuple, int] = {}
+        self._source_of = tuple(
+            None if f.base == "form" else sources.setdefault((f.base, f.sign, f.index), len(sources))
+            for f in self._factors
+        )
+        self._sources = tuple(sources)
+        self._inverted = tuple(dict.fromkeys(
+            src for f, src in zip(self._factors, self._source_of) if f.inverse
+        ))
+        self._forms = {
+            f.index: symplectic_form(f.index).astype(complex)
+            for f in self._factors if f.base == "form"
+        }
+
+    def evaluate(self, get_beta, get_c) -> list[np.ndarray]:
+        """Right-hand side of each equation, in order.
+
+        ``get_beta(a)`` and ``get_c(sign, a)`` supply (batched) matrix values
+        for the independent blocks; factor products broadcast over leading axes.
+        """
+        plain = [get_beta(index) if base == "beta" else get_c(sign, index)
+                 for base, sign, index in self._sources]
+        inverse = dict(zip(self._inverted, _stacked_inverses([plain[s] for s in self._inverted])))
+        values = []
+        for factor, src in zip(self._factors, self._source_of):
+            if src is None:
+                value = self._forms[factor.index]
+            else:
+                value = inverse[src] if factor.inverse else plain[src]
+            if factor.twist == "T":
+                value = t_transpose(value)
+            elif factor.twist == "t":
+                value = np.swapaxes(value, -1, -2)
+            values.append(value)
+        out = []
+        for terms in self._terms:
+            total = None
+            for sign, slots in terms:
+                value = reduce(np.matmul, [values[s] for s in slots])
+                if sign != 1:
+                    value = sign * value
+                total = value if total is None else total + value
+            out.append(total)
+        return out
 
 
 def evaluate_rhs(equation: Equation, get_beta, get_c) -> np.ndarray:
-    """Numeric right-hand side of one block equation.
+    """Numeric right-hand side of one block equation (a one-equation ``StationPlan``).
 
     ``get_beta(a)`` and ``get_c(sign, a)`` supply (batched) matrix values for
     the independent blocks; factor products broadcast over leading axes.
     """
-    total = None
-    for term in equation.terms:
-        value = reduce(np.matmul, (_factor_value(f, get_beta, get_c) for f in term.factors))
-        value = term.sign * value
-        total = value if total is None else total + value
-    if total is None:
-        raise ValueError("equation has no terms")
-    return total
+    return StationPlan((equation,)).evaluate(get_beta, get_c)[0]

@@ -7,9 +7,19 @@ variable: each column step advances u_a with a midpoint rule (right-hand
 side at the averaged field, iterated to a fixed point) and then recovers
 beta_a along the first coordinate with an implicit midpoint rule that is
 solvable in closed form: beta_a on the column is its boundary sample times
-a prefix product of per-row transfer matrices, taken with a doubling scan.
+a prefix product of per-row transfer matrices, taken with a pairwise scan.
 Self-paired central blocks are re-projected onto their constraint manifold
 after every accepted column.
+
+The march works on stacks: the independent blocks of one size share one
+array, so each step of a column is one numpy call per block size.  The
+right-hand sides come from a ``StationPlan`` compiled once per march, which
+inverts all blocks of one size in one call; 1 x 1 blocks take scalar paths
+(a reciprocal, the Cayley transfer (1 + a)/(1 - a) and a cumulative
+product).  The health check of an accepted column bounds the condition
+number by ||beta||_F ||beta^{-1}||_F >= cond_2, from one batched inverse per
+block size; the bound is exact for 1 x 1 blocks and at most k times cond_2
+for k x k blocks, so it can flag a blow-up earlier, never later.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import evaluate_rhs, independent_equations
+from .equations import StationPlan, batched_inverse, independent_equations
 from .exact import ShapeError
 from .liealg import SeriesTag, _max_abs, form_defect
 from .toda import (
@@ -53,7 +63,7 @@ __all__ = [
 
 # corrector sweeps allowed per column, their fixed-point tolerance (relative
 # to the column's largest entry) and the largest admissible condition number
-# or magnitude of a block sample
+# bound or magnitude of a block sample
 _MAX_CORRECTORS = 25
 _FP_TOL = 1e-12
 _COND_LIMIT = 1e12
@@ -116,41 +126,78 @@ class SolveResult:
 
 
 def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """beta^{-1} d beta at the half-points of a sample line.
+    """beta^{-1} d beta at the half-points of sample lines (axis -3).
 
     Uses the Cayley form (2/h)(I + T)^{-1}(T - I) with T_i the one-step
     transfer beta_i^{-1} beta_{i+1}; this is the exact inverse of the
     implicit midpoint recovery step, and a second-order midpoint value.
     """
     eye = np.eye(values.shape[-1])
-    transfer = np.linalg.inv(values[:-1]) @ values[1:]
+    transfer = np.linalg.inv(values[..., :-1, :, :]) @ values[..., 1:, :, :]
     return (2.0 / h) * (np.linalg.inv(eye + transfer) @ (transfer - eye))
 
 
 def _prefix_products(factors: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products F_0, F_0 F_1, ..., F_0 F_1 ... F_{n-1} of a matrix stack.
+    """Inclusive prefix products F_0, F_0 F_1, ..., F_0 F_1 ... F_{n-1} along axis -3.
 
-    Hillis-Steele doubling scan: after the pass with offset d, entry i holds
-    the product of the (up to) 2d factors ending at i, so ceil(log2 n)
-    batched matmuls replace n - 1 sequential ones.
+    Leading axes are a batch.  1 x 1 factors take a cumulative product;
+    larger ones the pairwise scan of ``_scan_pairs``.
     """
+    if factors.shape[-2:] == (1, 1):
+        return np.cumprod(factors, axis=-3)
     out = np.array(factors)
-    d = 1
-    while d < len(out):
-        out[d:] = out[:-d] @ out[d:]
-        d *= 2
+    _scan_pairs(out)
     return out
 
 
-def _project_central(system: TodaSystem, g: np.ndarray) -> np.ndarray:
-    """Newton steps toward the central block's constraint manifold."""
-    form = system.central_form().astype(complex)
-    form_inv = np.linalg.inv(form)
+def _scan_pairs(out: np.ndarray):
+    """Prefix products along axis -3, in place, by a work-efficient (Brent-Kung) scan.
+
+    Each odd entry absorbs its left neighbour, the odd entries are scanned
+    recursively, then each even entry takes the product to its left: about
+    2 log2 n batched matmuls over 2n matrices, where a doubling scan
+    multiplies n log2 n.  With tiny matrices each matrix of a batched
+    matmul costs more than the call, so the count of matrices sets the time.
+    """
+    odd = out[..., 1::2, :, :]
+    if odd.shape[-3] == 0:
+        return
+    odd[...] = out[..., : 2 * odd.shape[-3] : 2, :, :] @ odd
+    _scan_pairs(odd)
+    even = out[..., 2::2, :, :]
+    even[...] = out[..., 1 : 2 * even.shape[-3] : 2, :, :] @ even
+
+
+class _SizeGroups:
+    """The independent blocks grouped by size, one stack per size.
+
+    ``members[g]`` lists the 0-based blocks of the g-th distinct size, in
+    block order; ``place[a]`` is the (group, position) of block a.
+    """
+
+    def __init__(self, sizes):
+        keys = list(dict.fromkeys(sizes))
+        self.members = tuple(tuple(a for a, k in enumerate(sizes) if k == key) for key in keys)
+        self.place = tuple(
+            (keys.index(k), self.members[keys.index(k)].index(a)) for a, k in enumerate(sizes)
+        )
+
+    def stack(self, per_block) -> list[np.ndarray]:
+        return [per_block[m[0]][None] if len(m) == 1 else np.stack([per_block[a] for a in m])
+                for m in self.members]
+
+    def unstack(self, stacks) -> list[np.ndarray]:
+        return [stacks[g][pos] for g, pos in self.place]
+
+
+def _project_central(form: np.ndarray, form_inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton steps toward the manifold g^t F g = F of the central block."""
+    eye = np.eye(g.shape[-1])
     for _ in range(3):
         defect = form_defect(form, g)
         if _max_abs(defect) < 1e-14 * (1.0 + _max_abs(g)):
             break
-        g = g @ (np.eye(g.shape[-1]) - 0.5 * form_inv @ defect)
+        g = g @ (eye - 0.5 * form_inv @ defect)
     return g
 
 
@@ -158,16 +205,16 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     """Fill the grid column by column from characteristic boundary data.
 
     Raises :class:`BlowUpError` at the first sample whose condition number
-    or magnitude degenerates, and :class:`ConvergenceError` if the corrector
-    does not reach its fixed point within 25 sweeps.
+    bound or magnitude degenerates, and :class:`ConvergenceError` if the
+    corrector does not reach its fixed point within 25 sweeps.
     """
     spec = data.spec
     ni, nj = spec.n_minus, spec.n_plus
     hm, hp = spec.h_minus, spec.h_plus
     count = system.independent_beta_count
     sizes = system.blocks.sizes
-    equations = independent_equations(system)
-    odd_central = system.tag.series != "A" and system.blocks.count % 2 == 1
+    # one equation per independent block, in block order
+    plan = StationPlan(independent_equations(system))
     if len(data.left) != count:
         raise ShapeError(f"boundary data must have {count} block lines, got {len(data.left)}")
     for a in range(count):
@@ -177,11 +224,8 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
                 f"got {data.left[a].shape[1:]}"
             )
 
-    betas = [np.empty((ni, nj, sizes[a], sizes[a]), dtype=complex) for a in range(count)]
     data_mag, data_inv = [], []
     for a in range(count):
-        betas[a][:, 0] = data.left[a]
-        betas[a][0, :] = data.bottom[a]
         try:
             inv_scale = max(
                 float(np.max(np.abs(np.linalg.inv(data.left[a])))),
@@ -193,6 +237,20 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
                             float(np.max(np.abs(data.bottom[a])))))
         data_inv.append(inv_scale)
 
+    groups = _SizeGroups(sizes[:count])
+    # per block size: (blocks, n_minus, n_plus, k, k) samples
+    grids = [np.empty((len(m), ni, nj, sizes[m[0]], sizes[m[0]]), dtype=complex)
+             for m in groups.members]
+    bottoms = groups.stack(data.bottom)
+    for grid, left, bottom in zip(grids, groups.stack(data.left), bottoms):
+        grid[:, :, 0] = left
+        grid[:, 0, :] = bottom
+    eyes = [np.eye(grid.shape[-1]) for grid in grids]
+    central = None
+    if system.tag.series != "A" and system.blocks.count % 2 == 1:
+        form = system.central_form().astype(complex)
+        central = groups.place[count - 1], form, np.linalg.inv(form)
+
     # couplings at the stations: C_- lines at the row half-points, C_+ lines at
     # the column midpoints (picked by column in get_c)
     c_half = {
@@ -202,7 +260,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
 
     def rhs_half(beta_cols: list[np.ndarray], j: int) -> list[np.ndarray]:
         """Right-hand sides at the (row half-point, column midpoint) stations."""
-        beta_half = [0.5 * (col[:-1] + col[1:]) for col in beta_cols]
+        beta_half = groups.unstack([0.5 * (col[:, :-1] + col[:, 1:]) for col in beta_cols])
 
         def get_beta(a):
             return beta_half[a - 1]
@@ -211,43 +269,46 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
             entry = c_half[sign][a - 1]
             return entry[j] if sign == "+" else entry
 
-        return [evaluate_rhs(eq, get_beta, get_c) for eq in equations]
+        return groups.stack(plan.evaluate(get_beta, get_c))
 
-    def integrate_line(start: np.ndarray, u_half: np.ndarray, j: int) -> np.ndarray:
-        """Solve d_- beta = beta u along a column with the implicit midpoint rule."""
-        eye = np.eye(start.shape[-1])
-        try:
-            transfer = (eye + 0.5 * hm * u_half) @ np.linalg.inv(eye - 0.5 * hm * u_half)
-        except np.linalg.LinAlgError as exc:
-            raise BlowUpError(f"implicit step degenerated: {exc}", (0, j)) from exc
-        return np.concatenate([start[None], start @ _prefix_products(transfer)])
+    def integrate_lines(u_half: list[np.ndarray], j: int) -> list[np.ndarray]:
+        """Solve d_- beta = beta u along column j + 1 with the implicit midpoint rule:
+        the column is the prefix products of its bottom sample and the Cayley transfers."""
+        out = []
+        for eye, bottom, u in zip(eyes, bottoms, u_half):
+            half = (0.5 * hm) * u
+            try:
+                if eye.shape == (1, 1):
+                    denominator = 1.0 - half
+                    if not denominator.all():
+                        raise np.linalg.LinAlgError("Singular matrix")
+                    transfer = (1.0 + half) / denominator
+                else:
+                    # (I + H)(I - H)^{-1}; the two factors commute
+                    transfer = np.linalg.solve(eye - half, eye + half)
+            except np.linalg.LinAlgError as exc:
+                raise BlowUpError(f"implicit step degenerated: {exc}", (0, j)) from exc
+            out.append(_prefix_products(np.concatenate([bottom[:, j + 1, None], transfer], axis=1)))
+        return out
 
-    u_cur = [_staggered_log_derivative(betas[a][:, 0], hm) for a in range(count)]
+    u_cur = [_staggered_log_derivative(grid[:, :, 0], hm) for grid in grids]
     iterations = []
     for j in range(nj - 1):
-        beta_cur = [betas[a][:, j] for a in range(count)]
-        rhs0 = rhs_half(beta_cur, j)
-        u_next = [u_cur[a] + hp * rhs0[a] for a in range(count)]
-        beta_next = [
-            integrate_line(data.bottom[a][j + 1], u_next[a], j) for a in range(count)
-        ]
+        beta_cur = [grid[:, :, j] for grid in grids]
+        u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_cur, j))]
+        beta_next = integrate_lines(u_next, j)
         used = _MAX_CORRECTORS
         prev_delta = None
         for sweep in range(_MAX_CORRECTORS):
-            beta_mid = [0.5 * (beta_cur[a] + beta_next[a]) for a in range(count)]
-            rhs_mid = rhs_half(beta_mid, j)
-            u_next = [u_cur[a] + hp * rhs_mid[a] for a in range(count)]
-            candidate = [
-                integrate_line(data.bottom[a][j + 1], u_next[a], j) for a in range(count)
-            ]
-            delta = max(
-                float(np.max(np.abs(candidate[a] - beta_next[a]))) for a in range(count)
-            )
+            beta_mid = [0.5 * (cur + nxt) for cur, nxt in zip(beta_cur, beta_next)]
+            u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_mid, j))]
+            candidate = integrate_lines(u_next, j)
+            delta = max(float(np.max(np.abs(new - old))) for new, old in zip(candidate, beta_next))
             beta_next = candidate
             scale = 1.0 + max(float(np.max(np.abs(b))) for b in beta_next)
             if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
                                           and delta > _FP_TOL * scale):
-                _classify_divergence(beta_next, data_mag, data_inv, j + 1)
+                _classify_divergence(groups.unstack(beta_next), data_mag, data_inv, j + 1)
                 raise ConvergenceError(
                     f"corrector diverged at column {j + 1} (delta {delta:.3e})"
                 )
@@ -260,14 +321,15 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
                 f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
             )
         iterations.append(used)
-        if odd_central:
-            central = beta_next[count - 1]
-            central[1:] = _project_central(system, central[1:])
-        for a in range(count):
-            _check_health(beta_next[a], a, j + 1)
-            betas[a][:, j + 1] = beta_next[a]
+        if central is not None:
+            (g, pos), form, form_inv = central
+            samples = beta_next[g][pos]
+            samples[1:] = _project_central(form, form_inv, samples[1:])
+        _check_health(groups, beta_next, j + 1)
+        for grid, column in zip(grids, beta_next):
+            grid[:, :, j + 1] = column
         u_cur = u_next
-    field = GridField(spec, tuple(betas))
+    field = GridField(spec, tuple(groups.unstack(grids)))
     residual = block_residuals(system, field, c)
     return SolveResult(field, residual, tuple(iterations))
 
@@ -306,20 +368,44 @@ def _nonfinite_row(column: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def _check_health(column: np.ndarray, block: int, j: int):
-    i = _nonfinite_row(column)
-    if i is not None:
-        raise BlowUpError(f"non-finite sample in block {block + 1}", (i, j))
-    magnitude = np.max(np.abs(column), axis=(-1, -2))
-    conds = np.linalg.cond(column)
-    bad = (conds > _COND_LIMIT) | ~np.isfinite(conds) | (magnitude > _COND_LIMIT)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise BlowUpError(
-            f"block {block + 1} degenerated at row {i}, column {j} "
-            f"(cond {conds[i]:.3e}, magnitude {magnitude[i]:.3e})",
-            (i, j),
-        )
+def _cond_bound(stack: np.ndarray) -> np.ndarray:
+    """||beta||_F ||beta^{-1}||_F >= cond_2 of every finite sample of a stack; inf where singular."""
+    norm = np.linalg.norm(stack, axis=(-2, -1))
+    try:
+        return norm * np.linalg.norm(batched_inverse(stack), axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        pass
+    bound = np.full(norm.shape, np.inf)
+    for index in np.ndindex(norm.shape):
+        try:
+            bound[index] = norm[index] * np.linalg.norm(batched_inverse(stack[index]))
+        except np.linalg.LinAlgError:
+            continue
+    return bound
+
+
+def _check_health(groups: _SizeGroups, stacks: list[np.ndarray], j: int):
+    """Raise BlowUpError at the first sample of accepted column j, in block
+    order, that is non-finite or whose magnitude or condition bound is too large."""
+    finite = [np.isfinite(stack).all(axis=(-1, -2)) for stack in stacks]
+    # a non-finite sample raises before its bound is read, so it is bounded as I
+    stacks = [stack if ok.all() else np.where(ok[..., None, None], stack, np.eye(stack.shape[-1]))
+              for stack, ok in zip(stacks, finite)]
+    conds = [_cond_bound(stack) for stack in stacks]
+    magnitudes = [np.max(np.abs(stack), axis=(-1, -2)) for stack in stacks]
+    for a, (g, pos) in enumerate(groups.place):
+        if not finite[g][pos].all():
+            i = int(np.argmin(finite[g][pos]))
+            raise BlowUpError(f"non-finite sample in block {a + 1}", (i, j))
+        cond, magnitude = conds[g][pos], magnitudes[g][pos]
+        bad = (cond > _COND_LIMIT) | (magnitude > _COND_LIMIT)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise BlowUpError(
+                f"block {a + 1} degenerated at row {i}, column {j} "
+                f"(condition bound {cond[i]:.3e}, magnitude {magnitude[i]:.3e})",
+                (i, j),
+            )
 
 
 # ---------------------------------------------------------------------------

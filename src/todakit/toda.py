@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equations import emit_equations, evaluate_rhs, independent_equations
+from .equations import StationPlan, emit_equations, independent_equations
 from .exact import ShapeError, SingularMatrixError
 from .grading import BlockStructure, canonical_block_operator
 from .liealg import SeriesTag, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
@@ -394,8 +394,16 @@ class ResidualReport:
 
     @property
     def l2_norms(self) -> tuple[float, ...]:
+        """sqrt(h_minus h_plus sum |entry|^2) per grid, summed with the entries
+        scaled by their maximum so that it stays finite whenever the maximum is."""
         weight = self.spec.h_minus * self.spec.h_plus
-        return tuple(float(math.sqrt(weight * np.sum(np.abs(g) ** 2))) for g in self.grids)
+        norms = []
+        for g, top in zip(self.grids, self.max_norms):
+            if top == 0.0 or not math.isfinite(top):
+                norms.append(top)
+            else:
+                norms.append(top * math.sqrt(weight * float(np.sum(np.abs(g / top) ** 2))))
+        return tuple(norms)
 
     @property
     def max_norm(self) -> float:
@@ -403,7 +411,7 @@ class ResidualReport:
 
     @property
     def l2_norm(self) -> float:
-        return float(math.sqrt(sum(v**2 for v in self.l2_norms)))
+        return math.hypot(*self.l2_norms)
 
 
 def _log_derivative(values: np.ndarray, inverses: np.ndarray, h: float) -> np.ndarray:
@@ -463,15 +471,14 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
         entry = samples[sign][a - 1][1:-1]
         return entry[:, None] if sign == "-" else entry[None, :]
 
+    plan = StationPlan(independent_equations(system))
     grids = []
     labels = []
-    for eq in independent_equations(system):
+    for eq, rhs in zip(plan.equations, plan.evaluate(get_beta, get_c)):
         a = eq.block
         u = _log_derivative(betas[a - 1], inverses[a - 1], spec.h_minus)
         dpu = _interior_dplus(u, spec.h_plus)
-        rhs = evaluate_rhs(eq, get_beta, get_c)
-        rhs = np.broadcast_to(rhs, dpu.shape)
-        grids.append(dpu - rhs)
+        grids.append(dpu - np.broadcast_to(rhs, dpu.shape))
         labels.append(f"beta_{a}")
     return ResidualReport(spec, tuple(labels), tuple(grids))
 

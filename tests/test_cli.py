@@ -109,6 +109,20 @@ def test_verify_pass_and_fail(tmp_path, capsys):
     assert abs(doc["full_residual"]["max"] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_verify_reports_a_huge_finite_residual_as_failure(tmp_path, capsys, fmt):
+    doc = json.loads((GOLDEN / "grid_liouville_5x5.json").read_text())
+    doc["betas"][0][0] = 1e300  # real part of beta_1 at the corner sample
+    grid_file = tmp_path / "grid.json"
+    write_json(grid_file, doc)
+    assert main(["verify", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--grid", str(grid_file), "--format", fmt]) == 1
+    if fmt == "structured":
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "fail"
+        assert np.isfinite(out["full_residual"]["l2"]) and out["full_residual"]["max"] > 1e299
+
+
 def test_verify_mismatched_blocks(tmp_path, capsys):
     spec = tk.GridSpec(0.0, 8.0, 0.25, 0.25, 5, 5)
     lv = liouville_field(spec)

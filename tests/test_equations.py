@@ -1,9 +1,15 @@
+from functools import reduce
+
+import numpy as np
 import pytest
 
-from todakit.equations import independent_equations
+import todakit as tk
+from todakit import equations
+from todakit.equations import StationPlan, evaluate_rhs, independent_equations
+from todakit.liealg import antidiag_unit, symplectic_form
 from todakit.toda import emit_equations
 
-from conftest import build_case
+from conftest import ALL_CASES, build_case, line_couplings, random_couplings, smooth_closure
 
 
 def test_two_block_chain_equations():
@@ -87,3 +93,88 @@ def test_p2_single_equation_even_series():
     assert len(eqs[0].terms) == 1  # no left neighbour term for s = 1
     text = emit_equations(system, "text")
     assert "C_{+1}^T = C_{+1}" in text
+
+
+def _reference_rhs(eq, get_beta, get_c):
+    """The equation's right-hand side factor by factor: one np.linalg.inv per
+    inverted factor, twists spelled out, products by reduce(np.matmul)."""
+    total = 0
+    for term in eq.terms:
+        mats = []
+        for f in term.factors:
+            if f.base == "form":
+                mats.append(symplectic_form(f.index).astype(complex))
+                continue
+            value = get_beta(f.index) if f.base == "beta" else get_c(f.sign, f.index)
+            if f.inverse:
+                value = np.linalg.inv(value)
+            if f.twist is not None:
+                value = np.swapaxes(value, -1, -2)
+            if f.twist == "T":
+                value = antidiag_unit(value.shape[-2]) @ value @ antidiag_unit(value.shape[-1])
+            mats.append(value)
+        total = total + term.sign * reduce(np.matmul, mats)
+    return total
+
+
+@pytest.mark.parametrize("lines", [False, True], ids=["constant", "line"])
+@pytest.mark.parametrize("case", ALL_CASES, ids=str)
+def test_station_plan_matches_reference_evaluator(case, lines, rng):
+    system = build_case(*case)
+    spec = tk.GridSpec(0.1, 0.2, 1 / 8, 1 / 8, 6, 7)
+    field = tk.field_from_closure(system, spec, smooth_closure(system, rng))
+    c = random_couplings(system, rng)
+    if lines:
+        c = line_couplings(system, c, spec)
+
+    def get_beta(a):
+        return field.betas[a - 1]
+
+    def get_c(sign, a):
+        entry = (c.minus if sign == "-" else c.plus)[a - 1]
+        if entry.ndim == 2:
+            return entry
+        return entry[:, None] if sign == "-" else entry[None, :]
+
+    eqs = independent_equations(system)
+    plan = StationPlan(eqs)
+    for eq, got in zip(eqs, plan.evaluate(get_beta, get_c)):
+        want = _reference_rhs(eq, get_beta, get_c)
+        scale = np.max(np.abs(want))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        single = evaluate_rhs(eq, get_beta, get_c)
+        assert np.max(np.abs(single - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=str)
+def test_station_plan_inverts_once_per_block_size(case, rng, monkeypatch):
+    system = build_case(*case)
+    eqs = independent_equations(system)
+    inverted = {f.index for eq in eqs for t in eq.terms for f in t.factors if f.inverse}
+    calls = []
+
+    def counting(values):
+        calls.append(values.shape)
+        return np.linalg.inv(values)
+
+    monkeypatch.setattr(equations, "batched_inverse", counting)
+    betas = [np.eye(k) + 0.1 * rng.standard_normal((5, k, k)) for k in system.blocks.sizes]
+    c = random_couplings(system, rng)
+    StationPlan(eqs).evaluate(lambda a: betas[a - 1],
+                              lambda sign, a: (c.minus if sign == "-" else c.plus)[a - 1])
+    sizes = {system.blocks.sizes[a - 1] for a in inverted}
+    assert len(calls) == len(sizes)
+    assert sum(shape[0] if len(shape) == 4 else 1 for shape in calls) == len(inverted)
+
+
+def test_batched_inverse_scalar_path():
+    values = np.array([[[2.0 + 1.0j]], [[-0.5]]])
+    assert np.allclose(equations.batched_inverse(values), np.linalg.inv(values), rtol=1e-15)
+    with pytest.raises(np.linalg.LinAlgError):
+        equations.batched_inverse(np.array([[[1.0]], [[0.0]]]))
+
+
+def test_equation_without_terms_is_rejected():
+    with pytest.raises(ValueError, match="no terms"):
+        evaluate_rhs(equations.Equation(1, ()), lambda a: None, lambda sign, a: None)

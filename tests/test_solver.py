@@ -12,6 +12,8 @@ from todakit.solver import (
     liouville_closure,
     liouville_field,
     liouville_system,
+    _SizeGroups,
+    _check_health,
     _prefix_products,
     march,
 )
@@ -236,6 +238,15 @@ def test_prefix_products_match_sequential_loop(k, n):
     assert got.shape == factors.shape
     scale = np.max(np.abs(expected), axis=(-1, -2))
     assert np.max(np.max(np.abs(got - expected), axis=(-1, -2)) / scale) <= 1e-13
+    # a leading block axis scans every block on its own (k = 1 by cumprod)
+    stacked = np.stack([factors, factors.conj(), np.swapaxes(factors, -1, -2)])
+    got = _prefix_products(stacked)
+    assert got.shape == stacked.shape
+    for block, line in zip(got, stacked):
+        want = _prefix_products(line)
+        assert np.max(np.abs(block - want)) <= 1e-13 * np.max(np.abs(want))
+    if k == 1:
+        assert np.array_equal(got, np.cumprod(stacked, axis=-3))
 
 
 def test_liouville_domain_guard():
@@ -333,3 +344,44 @@ def test_convergence_study_self_reference():
     specs = [_liouville_spec(n) for n in (9, 17, 33)]
     study = convergence_study(system, make_case, specs)
     assert 1.6 <= study.order <= 2.4
+
+
+def _healthy_columns(sizes, n=9):
+    """One accepted column per block, near-identity samples."""
+    rng = np.random.default_rng(7)
+    return [np.eye(k) + 0.1 * rng.standard_normal((n, k, k)) for k in sizes]
+
+
+@pytest.mark.parametrize("defect", ["singular", "ill-conditioned", "non-finite", "scalar zero"])
+def test_health_check_flags_the_degenerate_sample(defect):
+    # blocks of sizes 2, 1, 2: blocks 1 and 3 share one stack
+    groups = _SizeGroups((2, 1, 2))
+    columns = _healthy_columns((2, 1, 2))
+    _check_health(groups, groups.stack(columns), 9)
+    block, row = (1, 4) if defect == "scalar zero" else (2, 6)
+    sample = columns[block][row]
+    if defect == "singular":
+        sample[:] = [[1.0, 2.0], [2.0, 4.0]]
+    elif defect == "ill-conditioned":
+        sample[:] = np.diag([1.0, 1e-13])  # cond_2 = 1e13
+    elif defect == "non-finite":
+        sample[1, 0] = np.nan
+    else:
+        sample[:] = 0.0
+    columns[2][8] = 0.0  # a later sample, in block order, that is singular too
+    with pytest.raises(BlowUpError) as info:
+        _check_health(groups, groups.stack(columns), 9)
+    assert info.value.location == (row, 9)
+    assert f"block {block + 1}" in str(info.value)
+
+
+def test_corrector_sweeps_per_column(rng):
+    spec = tk.GridSpec(0.0, 2.0, 1 / 32, 1 / 32, 33, 33)
+    lv = liouville_field(spec)
+    result = march(lv.system, lv.c, liouville_boundary(spec))
+    assert result.corrector_iterations == (5,) * 18 + (4,) * 14
+    system = build_case(*SYSTEM_CASES["C-oddp"][1])
+    spec = tk.GridSpec(0.0, 0.0, 1 / 32, 1 / 32, 33, 33)
+    data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
+    result = march(system, random_couplings(system, rng, scale=0.4), data)
+    assert result.corrector_iterations == (4,) * 32

@@ -159,6 +159,16 @@ def test_constant_non_solution_residual():
     assert rep.full_grid.shape == (3, 3, 2, 2)
 
 
+def test_l2_norm_stays_finite_for_large_finite_residuals():
+    spec = tk.GridSpec(0.0, 2.0, 0.25, 0.25, 5, 5)
+    grid = np.zeros((5, 5, 1, 1), dtype=complex)
+    grid[2, 3] = 5e299
+    report = tk.ResidualReport(spec, ("beta_1", "beta_2"), (grid, np.zeros_like(grid)))
+    assert report.l2_norms == (1.25e299, 0.0)
+    assert report.l2_norm == 1.25e299
+    assert report.max_norm == 5e299
+
+
 def test_liouville_residual_second_order():
     norms = []
     for n in (17, 33, 65):
