@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from .exact import SingularMatrixError
 from .liealg import symplectic_form, t_transpose
 
 
@@ -213,30 +214,24 @@ def emit_equations(system, fmt: str = "text"):
 def batched_inverse(values: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a stack; a plain reciprocal for 1 x 1 matrices.
 
-    Raises ``np.linalg.LinAlgError`` on an exactly singular matrix, as
-    ``np.linalg.inv`` does.
+    This is the one inverse of block samples.  On an exactly singular matrix
+    it raises ``SingularMatrixError`` whose ``index`` locates the first such
+    matrix in row-major order of the leading axes.
     """
     if values.shape[-2:] == (1, 1):
-        if not values.all():
-            raise np.linalg.LinAlgError("Singular matrix")
-        return 1.0 / values
-    return np.linalg.inv(values)
-
-
-def _stacked_inverses(values: list[np.ndarray]) -> list[np.ndarray]:
-    """``batched_inverse`` of each array, with one call per distinct array shape."""
-    by_shape: dict[tuple, list[int]] = {}
-    for i, value in enumerate(values):
-        by_shape.setdefault(value.shape, []).append(i)
-    out = [None] * len(values)
-    for members in by_shape.values():
-        if len(members) == 1:
-            out[members[0]] = batched_inverse(values[members[0]])
-            continue
-        inverses = batched_inverse(np.stack([values[i] for i in members]))
-        for pos, i in enumerate(members):
-            out[i] = inverses[pos]
-    return out
+        if values.all():
+            return 1.0 / values
+    else:
+        try:
+            return np.linalg.inv(values)
+        except np.linalg.LinAlgError:
+            pass
+    for index in np.ndindex(values.shape[:-2]):
+        try:
+            np.linalg.inv(values[index])
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(f"singular block sample at {index}", index) from None
+    raise SingularMatrixError("singular block sample")
 
 
 class StationPlan:
@@ -244,9 +239,9 @@ class StationPlan:
     at many stations.
 
     The plan is read off the structured term lists: every distinct factor is
-    resolved once per evaluation, the distinct inverted fields are inverted
-    together (one stacked ``batched_inverse`` per sample shape), the forms
-    are built once here and twists are views.
+    resolved once per evaluation, each distinct inverted field is inverted
+    once (``batched_inverse``), the forms are built once here and twists are
+    views.
     """
 
     def __init__(self, equations):
@@ -284,7 +279,7 @@ class StationPlan:
         """
         plain = [get_beta(index) if base == "beta" else get_c(sign, index)
                  for base, sign, index in self._sources]
-        inverse = dict(zip(self._inverted, _stacked_inverses([plain[s] for s in self._inverted])))
+        inverse = {src: batched_inverse(plain[src]) for src in self._inverted}
         values = []
         for factor, src in zip(self._factors, self._source_of):
             if src is None:

@@ -20,7 +20,11 @@ class ShapeError(ValueError):
 
 
 class SingularMatrixError(ArithmeticError):
-    """A matrix required to be invertible is singular."""
+    """A matrix required to be invertible is singular; ``index`` locates it in a stack."""
+
+    def __init__(self, message: str, index: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.index = index
 
 
 def rational(value) -> Fraction:

@@ -11,15 +11,17 @@ a prefix product of per-row transfer matrices, taken with a pairwise scan.
 Self-paired central blocks are re-projected onto their constraint manifold
 after every accepted column.
 
-The march works on stacks: the independent blocks of one size share one
-array, so each step of a column is one numpy call per block size.  The
-right-hand sides come from a ``StationPlan`` compiled once per march, which
-inverts all blocks of one size in one call; 1 x 1 blocks take scalar paths
-(a reciprocal, the Cayley transfer (1 + a)/(1 - a) and a cumulative
-product).  The health check of an accepted column bounds the condition
-number by ||beta||_F ||beta^{-1}||_F >= cond_2, from one batched inverse per
-block size; the bound is exact for 1 x 1 blocks and at most k times cond_2
-for k x k blocks, so it can flag a blow-up earlier, never later.
+The march holds one array per independent block and loops over the blocks
+at every step of a column.  The right-hand sides come from a
+``StationPlan`` compiled once per march; every inverse of a block sample
+goes through ``equations.batched_inverse``, and 1 x 1 blocks take scalar
+paths (a reciprocal, the Cayley transfer (1 + a)/(1 - a) and a cumulative
+product).  An exactly singular sample met on the way (at the half-point
+initialisation, a station or a Cayley transfer) is a blow-up at that
+sample's own (row, column).  The health check of an accepted column bounds
+the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2; the bound is
+exact for 1 x 1 blocks and at most k times cond_2 for k x k blocks, so it
+can flag a blow-up earlier, never later.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import StationPlan, batched_inverse, independent_equations
-from .exact import ShapeError
+from .exact import ShapeError, SingularMatrixError
 from .liealg import SeriesTag, _max_abs, form_defect
 from .toda import (
     CBlocks,
@@ -126,15 +128,31 @@ class SolveResult:
 
 
 def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """beta^{-1} d beta at the half-points of sample lines (axis -3).
+    """beta^{-1} d beta at the half-points of a sample line.
 
     Uses the Cayley form (2/h)(I + T)^{-1}(T - I) with T_i the one-step
     transfer beta_i^{-1} beta_{i+1}; this is the exact inverse of the
     implicit midpoint recovery step, and a second-order midpoint value.
     """
     eye = np.eye(values.shape[-1])
-    transfer = np.linalg.inv(values[..., :-1, :, :]) @ values[..., 1:, :, :]
-    return (2.0 / h) * (np.linalg.inv(eye + transfer) @ (transfer - eye))
+    transfer = batched_inverse(values[:-1]) @ values[1:]
+    return (2.0 / h) * (batched_inverse(eye + transfer) @ (transfer - eye))
+
+
+def _cayley(half: np.ndarray) -> np.ndarray:
+    """The implicit midpoint transfers (I + H)(I - H)^{-1} of a stack of H.
+
+    The two factors commute, so k >= 2 takes one batched linear solve;
+    raises ``SingularMatrixError`` where I - H is singular.
+    """
+    if half.shape[-2:] == (1, 1):
+        return (1.0 + half) * batched_inverse(1.0 - half)
+    eye = np.eye(half.shape[-1])
+    try:
+        return np.linalg.solve(eye - half, eye + half)
+    except np.linalg.LinAlgError:
+        batched_inverse(eye - half)  # the same factorisation: raises at the first singular sample
+        raise
 
 
 def _prefix_products(factors: np.ndarray) -> np.ndarray:
@@ -168,45 +186,27 @@ def _scan_pairs(out: np.ndarray):
     even[...] = out[..., 1 : 2 * even.shape[-3] : 2, :, :] @ even
 
 
-class _SizeGroups:
-    """The independent blocks grouped by size, one stack per size.
+def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton steps toward the manifold g^t F g = F of the central block.
 
-    ``members[g]`` lists the 0-based blocks of the g-th distinct size, in
-    block order; ``place[a]`` is the (group, position) of block a.
+    Both invariant forms are signed permutations, so F^{-1} = F^t.
     """
-
-    def __init__(self, sizes):
-        keys = list(dict.fromkeys(sizes))
-        self.members = tuple(tuple(a for a, k in enumerate(sizes) if k == key) for key in keys)
-        self.place = tuple(
-            (keys.index(k), self.members[keys.index(k)].index(a)) for a, k in enumerate(sizes)
-        )
-
-    def stack(self, per_block) -> list[np.ndarray]:
-        return [per_block[m[0]][None] if len(m) == 1 else np.stack([per_block[a] for a in m])
-                for m in self.members]
-
-    def unstack(self, stacks) -> list[np.ndarray]:
-        return [stacks[g][pos] for g, pos in self.place]
-
-
-def _project_central(form: np.ndarray, form_inv: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Newton steps toward the manifold g^t F g = F of the central block."""
     eye = np.eye(g.shape[-1])
     for _ in range(3):
         defect = form_defect(form, g)
         if _max_abs(defect) < 1e-14 * (1.0 + _max_abs(g)):
             break
-        g = g @ (eye - 0.5 * form_inv @ defect)
+        g = g @ (eye - 0.5 * form.T @ defect)
     return g
 
 
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
-    Raises :class:`BlowUpError` at the first sample whose condition number
-    bound or magnitude degenerates, and :class:`ConvergenceError` if the
-    corrector does not reach its fixed point within 25 sweeps.
+    Raises :class:`BlowUpError` at the first sample that is singular or
+    whose condition number bound or magnitude degenerates, and
+    :class:`ConvergenceError` if the corrector does not reach its fixed
+    point within 25 sweeps.
     """
     spec = data.spec
     ni, nj = spec.n_minus, spec.n_plus
@@ -225,31 +225,20 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
             )
 
     data_mag, data_inv = [], []
-    for a in range(count):
+    for a, lines in enumerate(zip(data.left, data.bottom), start=1):
         try:
-            inv_scale = max(
-                float(np.max(np.abs(np.linalg.inv(data.left[a])))),
-                float(np.max(np.abs(np.linalg.inv(data.bottom[a])))),
-            )
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"boundary data of block {a + 1} is not invertible: {exc}") from exc
-        data_mag.append(max(float(np.max(np.abs(data.left[a]))),
-                            float(np.max(np.abs(data.bottom[a])))))
-        data_inv.append(inv_scale)
+            data_inv.append(max(_max_abs(batched_inverse(line)) for line in lines))
+        except SingularMatrixError as exc:
+            raise ValueError(f"boundary data of block {a} is not invertible: {exc}") from exc
+        data_mag.append(max(_max_abs(line) for line in lines))
 
-    groups = _SizeGroups(sizes[:count])
-    # per block size: (blocks, n_minus, n_plus, k, k) samples
-    grids = [np.empty((len(m), ni, nj, sizes[m[0]], sizes[m[0]]), dtype=complex)
-             for m in groups.members]
-    bottoms = groups.stack(data.bottom)
-    for grid, left, bottom in zip(grids, groups.stack(data.left), bottoms):
-        grid[:, :, 0] = left
-        grid[:, 0, :] = bottom
-    eyes = [np.eye(grid.shape[-1]) for grid in grids]
-    central = None
-    if system.tag.series != "A" and system.blocks.count % 2 == 1:
-        form = system.central_form().astype(complex)
-        central = groups.place[count - 1], form, np.linalg.inv(form)
+    # one (n_minus, n_plus, k, k) grid per independent block
+    grids = [np.empty((ni, nj, k, k), dtype=complex) for k in sizes[:count]]
+    for grid, left, bottom in zip(grids, data.left, data.bottom):
+        grid[:, 0] = left
+        grid[0, :] = bottom
+    form = system.central_form()
+    form = None if form is None else form.astype(complex)
 
     # couplings at the stations: C_- lines at the row half-points, C_+ lines at
     # the column midpoints (picked by column in get_c)
@@ -260,44 +249,38 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
 
     def rhs_half(beta_cols: list[np.ndarray], j: int) -> list[np.ndarray]:
         """Right-hand sides at the (row half-point, column midpoint) stations."""
-        beta_half = groups.unstack([0.5 * (col[:, :-1] + col[:, 1:]) for col in beta_cols])
-
-        def get_beta(a):
-            return beta_half[a - 1]
+        beta_half = [0.5 * (col[:-1] + col[1:]) for col in beta_cols]
 
         def get_c(sign, a):
             entry = c_half[sign][a - 1]
             return entry[j] if sign == "+" else entry
 
-        return groups.stack(plan.evaluate(get_beta, get_c))
+        try:
+            return plan.evaluate(lambda a: beta_half[a - 1], get_c)
+        except SingularMatrixError as exc:
+            raise BlowUpError("singular half-point average at a station", (exc.index[0], j)) from exc
 
     def integrate_lines(u_half: list[np.ndarray], j: int) -> list[np.ndarray]:
         """Solve d_- beta = beta u along column j + 1 with the implicit midpoint rule:
         the column is the prefix products of its bottom sample and the Cayley transfers."""
         out = []
-        for eye, bottom, u in zip(eyes, bottoms, u_half):
-            half = (0.5 * hm) * u
+        for grid, u in zip(grids, u_half):
             try:
-                if eye.shape == (1, 1):
-                    denominator = 1.0 - half
-                    if not denominator.all():
-                        raise np.linalg.LinAlgError("Singular matrix")
-                    transfer = (1.0 + half) / denominator
-                else:
-                    # (I + H)(I - H)^{-1}; the two factors commute
-                    transfer = np.linalg.solve(eye - half, eye + half)
-            except np.linalg.LinAlgError as exc:
-                raise BlowUpError(f"implicit step degenerated: {exc}", (0, j)) from exc
-            out.append(_prefix_products(np.concatenate([bottom[:, j + 1, None], transfer], axis=1)))
+                transfer = _cayley((0.5 * hm) * u)
+            except SingularMatrixError as exc:
+                raise BlowUpError("singular implicit step", (exc.index[0], j + 1)) from exc
+            out.append(_prefix_products(np.concatenate([grid[None, 0, j + 1], transfer])))
         return out
 
-    u_cur = [_staggered_log_derivative(grid[:, :, 0], hm) for grid in grids]
+    try:
+        u_cur = [_staggered_log_derivative(grid[:, 0], hm) for grid in grids]
+    except SingularMatrixError as exc:
+        raise BlowUpError("singular half-point average on the left line", (exc.index[0], 0)) from exc
     iterations = []
     for j in range(nj - 1):
-        beta_cur = [grid[:, :, j] for grid in grids]
+        beta_cur = [grid[:, j] for grid in grids]
         u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_cur, j))]
         beta_next = integrate_lines(u_next, j)
-        used = _MAX_CORRECTORS
         prev_delta = None
         for sweep in range(_MAX_CORRECTORS):
             beta_mid = [0.5 * (cur + nxt) for cur, nxt in zip(beta_cur, beta_next)]
@@ -308,28 +291,25 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
             scale = 1.0 + max(float(np.max(np.abs(b))) for b in beta_next)
             if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
                                           and delta > _FP_TOL * scale):
-                _classify_divergence(groups.unstack(beta_next), data_mag, data_inv, j + 1)
+                _classify_divergence(beta_next, data_mag, data_inv, j + 1)
                 raise ConvergenceError(
                     f"corrector diverged at column {j + 1} (delta {delta:.3e})"
                 )
             prev_delta = delta
             if delta <= _FP_TOL * scale:
-                used = sweep + 1
                 break
         else:
             raise ConvergenceError(
                 f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
             )
-        iterations.append(used)
-        if central is not None:
-            (g, pos), form, form_inv = central
-            samples = beta_next[g][pos]
-            samples[1:] = _project_central(form, form_inv, samples[1:])
-        _check_health(groups, beta_next, j + 1)
+        iterations.append(sweep + 1)
+        if form is not None:
+            beta_next[-1][1:] = _project_central(form, beta_next[-1][1:])
+        _check_health(beta_next, j + 1)
         for grid, column in zip(grids, beta_next):
-            grid[:, :, j + 1] = column
+            grid[:, j + 1] = column
         u_cur = u_next
-    field = GridField(spec, tuple(groups.unstack(grids)))
+    field = GridField(spec, tuple(grids))
     residual = block_residuals(system, field, c)
     return SolveResult(field, residual, tuple(iterations))
 
@@ -347,10 +327,10 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
             raise BlowUpError(f"block {a + 1} lost finiteness while diverging", (i, j))
         magnitude = np.max(np.abs(column), axis=(-1, -2))
         try:
-            inv_mag = np.max(np.abs(np.linalg.inv(column)), axis=(-1, -2))
-        except np.linalg.LinAlgError:
-            i = int(np.argmax(magnitude))
-            raise BlowUpError(f"block {a + 1} became singular while diverging", (i, j))
+            inv_mag = np.max(np.abs(batched_inverse(column)), axis=(-1, -2))
+        except SingularMatrixError as exc:
+            raise BlowUpError(f"block {a + 1} became singular while diverging",
+                              (exc.index[0], j)) from exc
         if np.max(magnitude) > 10.0 * (1.0 + data_mag[a]) or \
                 np.max(inv_mag) > 10.0 * (1.0 + data_inv[a]):
             i = int(np.argmax(np.maximum(magnitude / (1.0 + data_mag[a]),
@@ -368,36 +348,28 @@ def _nonfinite_row(column: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def _cond_bound(stack: np.ndarray) -> np.ndarray:
-    """||beta||_F ||beta^{-1}||_F >= cond_2 of every finite sample of a stack; inf where singular."""
-    norm = np.linalg.norm(stack, axis=(-2, -1))
+def _cond_bound(column: np.ndarray) -> np.ndarray:
+    """||beta||_F ||beta^{-1}||_F >= cond_2 of each sample of a finite column;
+    inf from its first singular sample on."""
+    norm = np.linalg.norm(column, axis=(-2, -1))
     try:
-        return norm * np.linalg.norm(batched_inverse(stack), axis=(-2, -1))
-    except np.linalg.LinAlgError:
-        pass
+        return norm * np.linalg.norm(batched_inverse(column), axis=(-2, -1))
+    except SingularMatrixError as exc:
+        i = exc.index[0]
     bound = np.full(norm.shape, np.inf)
-    for index in np.ndindex(norm.shape):
-        try:
-            bound[index] = norm[index] * np.linalg.norm(batched_inverse(stack[index]))
-        except np.linalg.LinAlgError:
-            continue
+    bound[:i] = _cond_bound(column[:i])
     return bound
 
 
-def _check_health(groups: _SizeGroups, stacks: list[np.ndarray], j: int):
+def _check_health(columns: list[np.ndarray], j: int):
     """Raise BlowUpError at the first sample of accepted column j, in block
     order, that is non-finite or whose magnitude or condition bound is too large."""
-    finite = [np.isfinite(stack).all(axis=(-1, -2)) for stack in stacks]
-    # a non-finite sample raises before its bound is read, so it is bounded as I
-    stacks = [stack if ok.all() else np.where(ok[..., None, None], stack, np.eye(stack.shape[-1]))
-              for stack, ok in zip(stacks, finite)]
-    conds = [_cond_bound(stack) for stack in stacks]
-    magnitudes = [np.max(np.abs(stack), axis=(-1, -2)) for stack in stacks]
-    for a, (g, pos) in enumerate(groups.place):
-        if not finite[g][pos].all():
-            i = int(np.argmin(finite[g][pos]))
+    for a, column in enumerate(columns):
+        i = _nonfinite_row(column)
+        if i is not None:
             raise BlowUpError(f"non-finite sample in block {a + 1}", (i, j))
-        cond, magnitude = conds[g][pos], magnitudes[g][pos]
+        cond = _cond_bound(column)
+        magnitude = np.max(np.abs(column), axis=(-1, -2))
         bad = (cond > _COND_LIMIT) | (magnitude > _COND_LIMIT)
         if np.any(bad):
             i = int(np.argmax(bad))

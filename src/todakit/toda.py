@@ -17,8 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equations import StationPlan, emit_equations, independent_equations
-from .exact import ShapeError, SingularMatrixError
+from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
+from .exact import ShapeError
 from .grading import BlockStructure, canonical_block_operator
 from .liealg import SeriesTag, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
 
@@ -259,13 +259,6 @@ def _c_lines(system: TodaSystem, c: CBlocks, sign: str, count: int) -> np.ndarra
 # block-diagonal fields
 
 
-def _batched_inv(values: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.inv(values)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular block sample: {exc}") from exc
-
-
 def central_defect(system: TodaSystem, central: np.ndarray) -> float:
     """Constraint defect max|g^t F g - F| of the self-paired central block (odd block count).
 
@@ -300,7 +293,7 @@ def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -
             )
     full = values + [None] * (p - want)
     for a in range(1, p // 2 + 1):
-        full[p - a] = _batched_inv(t_transpose(values[a - 1]))
+        full[p - a] = batched_inverse(t_transpose(values[a - 1]))
     return full
 
 
@@ -372,7 +365,7 @@ def gamma_grid(system: TodaSystem, field: GridField) -> np.ndarray:
 def _gamma_and_inverse(system, field):
     """Assemble gamma and its blockwise inverse over the grid."""
     full = complete_betas(system, field.betas, check_tol=None)
-    return _place_blocks(system, full, 0), _place_blocks(system, [_batched_inv(b) for b in full], 0)
+    return _place_blocks(system, full, 0), _place_blocks(system, [batched_inverse(b) for b in full], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +453,7 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     """Residuals of the independent block equations (folded boundary forms)."""
     spec = field.spec
     betas = field.betas
-    inverses = [_batched_inv(b) for b in betas]
+    inverses = [batched_inverse(b) for b in betas]
 
     def get_beta(a):
         return betas[a - 1][1:-1, 1:-1]
@@ -539,7 +532,7 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
     xi_p_full = complete_betas(system, xi_p)
     new_betas = []
     for a in range(count):
-        left = _batched_inv(xi_p_full[a])[None, :]
+        left = batched_inverse(xi_p_full[a])[None, :]
         right = xi_m_full[a][:, None]
         new_betas.append(left @ field.betas[a] @ right)
     new_minus, new_plus = [], []
@@ -549,8 +542,8 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
         plus_entry = c.plus[a - 1]
         xm_next, xm_here = xi_m_full[a], xi_m_full[a - 1]
         xp_here, xp_next = xi_p_full[a - 1], xi_p_full[a]
-        new_m = _batched_inv(xm_next) @ minus_entry @ xm_here
-        new_p = _batched_inv(xp_here) @ plus_entry @ xp_next
+        new_m = batched_inverse(xm_next) @ minus_entry @ xm_here
+        new_p = batched_inverse(xp_here) @ plus_entry @ xp_next
         new_minus.append(_squeeze_constant(new_m))
         new_plus.append(_squeeze_constant(new_p))
     new_c = make_c_blocks(system, new_minus, new_plus, tol=1e-10)

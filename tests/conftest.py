@@ -104,6 +104,21 @@ def line_couplings(system: tk.TodaSystem, c: tk.CBlocks, spec: tk.GridSpec) -> t
     return tk.make_c_blocks(system, minus, plus)
 
 
+def singular_station_case():
+    """A2 (2,1) on a 5 x 5 grid whose k = 2 left line alternates diag(1, 1) and
+    diag(1, -1), so every half-point average of block 1 is singular.
+
+    Returns (system, couplings, boundary data).
+    """
+    system = build_case("A", 2, (2, 1))
+    c = tk.make_c_blocks(system, [np.array([[0.5, 0.25]])], [np.array([[0.5], [0.25]])])
+    spec = tk.GridSpec(0.0, 0.0, 0.25, 0.25, 5, 5)
+    left = np.array([np.diag([1.0, (-1.0) ** i]) for i in range(5)], dtype=complex)
+    bottom = np.broadcast_to(np.eye(2, dtype=complex), (5, 2, 2))
+    ones = np.ones((5, 1, 1), dtype=complex)
+    return system, c, tk.CharacteristicData(spec, (left, ones), (bottom, ones))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)

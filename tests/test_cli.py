@@ -20,6 +20,8 @@ from todakit.cli import (
 from todakit.solver import liouville_boundary, liouville_field
 from todakit.toda import emit_equations
 
+from conftest import singular_station_case
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -190,6 +192,29 @@ def test_solve_blowup_exit_code(tmp_path, capsys):
     assert main(["solve", "--system", str(system_file), "--boundary", str(boundary_file),
                  "--out", str(tmp_path / "x.json")]) == 4
     assert "error[blow-up]" in capsys.readouterr().err
+
+
+def test_solve_singular_station_exit_code(tmp_path, capsys):
+    system, c, data = singular_station_case()
+    system_file = tmp_path / "system.json"
+    boundary_file = tmp_path / "boundary.json"
+    write_json(system_file, system_to_document(system, c))
+    write_json(boundary_file, boundary_to_document(system, data))
+    assert main(["solve", "--system", str(system_file), "--boundary", str(boundary_file),
+                 "--out", str(tmp_path / "x.json")]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[blow-up]"), err
+
+
+def test_verify_singular_sample_exit_code(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "grid_liouville_5x5.json").read_text())
+    doc["betas"][0][24:26] = [0.0, 0.0]  # beta_1 at sample (2, 2) of the 5 x 5 grid
+    grid_file = tmp_path / "grid.json"
+    write_json(grid_file, doc)
+    assert main(["verify", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--grid", str(grid_file)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("todakit: error[degenerate]"), err
 
 
 def test_solve_non_convergence_exit_code(tmp_path, capsys):

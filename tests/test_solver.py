@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import todakit as tk
-from todakit.exact import ShapeError
+from todakit.exact import ShapeError, SingularMatrixError
 from todakit.solver import (
     BlowUpError,
     CharacteristicData,
@@ -12,7 +12,7 @@ from todakit.solver import (
     liouville_closure,
     liouville_field,
     liouville_system,
-    _SizeGroups,
+    _cayley,
     _check_health,
     _prefix_products,
     march,
@@ -25,6 +25,7 @@ from conftest import (
     boundary_from_closure,
     build_case,
     random_couplings,
+    singular_station_case,
     smooth_closure,
 )
 
@@ -149,6 +150,22 @@ def test_blowup_detection_over_pole():
         march(system, c, data)
     i, j = info.value.location
     assert j >= 1 and i >= 0
+
+
+def test_singular_half_point_is_a_blow_up_at_its_sample():
+    system, c, data = singular_station_case()
+    with pytest.raises(BlowUpError) as info:
+        march(system, c, data)
+    assert info.value.location == (0, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_singular_cayley_transfer_names_its_sample(k):
+    half = np.zeros((5, k, k), dtype=complex)
+    half[3] = np.eye(k)  # I - H = 0 at row 3
+    with pytest.raises(SingularMatrixError) as info:
+        _cayley(half)
+    assert info.value.index == (3,)
 
 
 def test_non_convergence_on_coarse_stiff_grid():
@@ -354,10 +371,9 @@ def _healthy_columns(sizes, n=9):
 
 @pytest.mark.parametrize("defect", ["singular", "ill-conditioned", "non-finite", "scalar zero"])
 def test_health_check_flags_the_degenerate_sample(defect):
-    # blocks of sizes 2, 1, 2: blocks 1 and 3 share one stack
-    groups = _SizeGroups((2, 1, 2))
+    # blocks of sizes 2, 1, 2, scanned in block order, then row order
     columns = _healthy_columns((2, 1, 2))
-    _check_health(groups, groups.stack(columns), 9)
+    _check_health(columns, 9)
     block, row = (1, 4) if defect == "scalar zero" else (2, 6)
     sample = columns[block][row]
     if defect == "singular":
@@ -370,7 +386,7 @@ def test_health_check_flags_the_degenerate_sample(defect):
         sample[:] = 0.0
     columns[2][8] = 0.0  # a later sample, in block order, that is singular too
     with pytest.raises(BlowUpError) as info:
-        _check_health(groups, groups.stack(columns), 9)
+        _check_health(columns, 9)
     assert info.value.location == (row, 9)
     assert f"block {block + 1}" in str(info.value)
 
