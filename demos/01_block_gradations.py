@@ -11,7 +11,6 @@ from todakit import (
     SeriesTag,
     cartan_matrix,
     graded_decomposition,
-    labels_to_block_structure,
     levi_type,
     operator_from_labels,
 )
@@ -30,11 +29,11 @@ def main():
         tag = SeriesTag(series, rank)
         lab = DynkinLabels(tag, labels)
         op = operator_from_labels(lab)
-        blocks = labels_to_block_structure(lab)
+        blocks = op.blocks
         dec = graded_decomposition(op)
         print(f"== series {series}, rank {rank}, labels {labels}")
         print(f"   ambient size {tag.ambient_dim}, algebra dimension {tag.algebra_dim}")
-        diag = ", ".join(str(op.matrix[i, i]) for i in range(tag.ambient_dim))
+        diag = ", ".join(str(q) for q in op.diagonal)
         print(f"   grading operator diag({diag})")
         print(f"   blocks {blocks.sizes} with steps {blocks.steps}")
         dims = ", ".join(f"{m}: {dec.dimension(m)}" for m in dec.degrees)

@@ -20,13 +20,7 @@ import numpy as np
 
 from .cartan import cartan_matrix
 from .exact import SingularMatrixError
-from .grading import (
-    DynkinLabels,
-    graded_decomposition,
-    labels_to_block_structure,
-    levi_type,
-    operator_from_labels,
-)
+from .grading import DynkinLabels, graded_decomposition, levi_type, operator_from_labels
 from .liealg import SeriesTag
 from .solver import (
     BlowUpError,
@@ -311,16 +305,16 @@ def cmd_grade(args) -> int:
     tag = SeriesTag(args.series, args.rank)
     labels = DynkinLabels(tag, _parse_csv_ints(args.labels, "--labels"))
     op = operator_from_labels(labels)
-    blocks = labels_to_block_structure(labels)
     decomp = graded_decomposition(op)
-    levi = levi_type(blocks)
+    levi = levi_type(op.blocks)
+    diagonal = [str(q) for q in op.diagonal]
     dims = {str(m): decomp.dimension(m) for m in decomp.degrees}
     if args.format == "structured":
         doc = {
             "series": tag.series,
             "rank": tag.rank,
             "labels": list(labels.labels),
-            "diagonal": [str(op.matrix[i, i]) for i in range(tag.ambient_dim)],
+            "diagonal": diagonal,
             "levels": [str(level) for level in op.levels],
             "block_sizes": list(op.blocks.sizes),
             "steps": list(op.blocks.steps),
@@ -329,7 +323,7 @@ def cmd_grade(args) -> int:
         }
         print(dumps_deterministic(doc))
         return EXIT_OK
-    diag = ", ".join(str(op.matrix[i, i]) for i in range(tag.ambient_dim))
+    diag = ", ".join(diagonal)
     if args.format == "latex":
         print(rf"q = \mathrm{{diag}}({diag})")
         print(rf"% blocks {op.blocks.sizes}, steps {op.blocks.steps}, G_0 \cong {levi}")
@@ -425,7 +419,7 @@ def cmd_selftest(args) -> int:
 
     tag = SeriesTag("A", 2)
     op = operator_from_labels(DynkinLabels(tag, (1, 0)))
-    checks.append(("grading A2 (1,0)", str(op.matrix[0, 0]) == "2/3"))
+    checks.append(("grading A2 (1,0)", str(op.diagonal[0]) == "2/3"))
 
     spec_c = GridSpec(0.0, 5.0, 1.0 / 16, 1.0 / 16, 17, 17)
     spec_f = GridSpec(0.0, 5.0, 1.0 / 32, 1.0 / 32, 33, 33)

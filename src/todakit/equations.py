@@ -139,8 +139,9 @@ def constraint_descriptions(system) -> list[str]:
     if cs == "A-none":
         return []
     out = []
-    if not (cs == "C-oddp" and s == 1):
-        pair_range = f"a = 1..{s - 1}" if cs == "C-oddp" else f"a = 1..{p - 1}"
+    # series C states its centre on its own line, so its mirror pairs stop short of s
+    if not (cs.startswith("C") and s == 1):
+        pair_range = f"a = 1..{s - 1}" if cs.startswith("C") else f"a = 1..{p - 1}"
         out.append(f"C_{{+a}}^T = -C_{{+({p}-a)}} and C_{{-a}}^T = -C_{{-({p}-a)}} for {pair_range}")
     if cs == "C-oddp":
         m = system.blocks.sizes[s] // 2

@@ -1,16 +1,17 @@
 """Integer gradations of the classical algebras in explicit block form.
 
 A gradation is selected by nonnegative integer labels on the simple roots.
-The resulting grading operator is an exact diagonal rational matrix whose
-diagonal is constant on blocks; the block sizes and the integer steps
-between adjacent blocks determine everything else (graded subspaces,
+The resulting grading operator is diagonal with one exact rational level per
+block, given in closed form by the block sizes and the integer steps between
+adjacent blocks; these determine everything else (graded subspaces,
 block-diagonal subgroup type, Toda systems downstream).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,13 @@ class GradationError(ValueError):
     """Invalid labels or block data for a gradation."""
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise GradationError(f"{what} must be integers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class DynkinLabels:
     """Nonnegative integer labels selecting a gradation; not all zero."""
@@ -49,7 +57,7 @@ class DynkinLabels:
     labels: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(int(q) for q in self.labels))
+        object.__setattr__(self, "labels", _integers(self.labels, "labels"))
         if len(self.labels) != self.tag.rank:
             raise GradationError(
                 f"expected {self.tag.rank} labels, got {len(self.labels)}"
@@ -81,8 +89,8 @@ class BlockStructure:
     steps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(k) for k in self.sizes))
-        object.__setattr__(self, "steps", tuple(int(m) for m in self.steps))
+        object.__setattr__(self, "sizes", _integers(self.sizes, "block sizes"))
+        object.__setattr__(self, "steps", _integers(self.steps, "steps"))
         p = len(self.sizes)
         if p < 2:
             raise GradationError("a gradation needs at least two blocks")
@@ -126,42 +134,33 @@ class BlockStructure:
 
 @dataclass(frozen=True)
 class GradingOperator:
-    """Exact diagonal grading operator together with its block data."""
+    """Diagonal grading operator: one exact rational level per block."""
 
     blocks: BlockStructure
     levels: tuple[Fraction, ...]
-    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if len(self.levels) != self.blocks.count:
-            raise GradationError("one diagonal level per block required")
-        for a in range(self.blocks.count - 1):
-            if self.levels[a] - self.levels[a + 1] != self.blocks.steps[a]:
-                raise GradationError(
-                    "internal inconsistency: level differences do not match steps"
-                )
+        drops = tuple(a - b for a, b in zip(self.levels, self.levels[1:]))
+        if len(self.levels) != self.blocks.count or drops != self.blocks.steps:
+            raise GradationError("need one level per block, falling by the block steps")
 
     @property
     def tag(self) -> SeriesTag:
         return self.blocks.tag
 
-
-def _level_matrix(tag: SeriesTag, sizes, levels) -> np.ndarray:
-    n = tag.ambient_dim
-    mat = np.empty((n, n), dtype=object)
-    mat[:, :] = Fraction(0)
-    pos = 0
-    for size, level in zip(sizes, levels):
-        for i in range(pos, pos + size):
-            mat[i, i] = Fraction(level)
-        pos += size
-    return mat
+    @property
+    def diagonal(self) -> tuple[Fraction, ...]:
+        """The n diagonal entries: each block's level repeated over the block."""
+        return tuple(
+            level for size, level in zip(self.blocks.sizes, self.levels) for _ in range(size)
+        )
 
 
 def operator_matrix_from_labels(labels: DynkinLabels) -> np.ndarray:
     """Exact diagonal matrix sum_{i,j} h_i (k^{-1})_{ij} q_j, unnormalized.
 
-    For series D with unequal last labels the diagonal is not sorted; use
+    This is the definition; the tests hold the closed form of
+    :func:`canonical_block_operator` against it.  For series D with unequal last labels the diagonal is not sorted; use
     :func:`operator_from_labels` for the canonical block form.
     """
     tag = labels.tag
@@ -188,23 +187,7 @@ def operator_matrix_from_labels(labels: DynkinLabels) -> np.ndarray:
 
 def operator_from_labels(labels: DynkinLabels) -> GradingOperator:
     """Grading operator in canonical block form (D labels normalized first)."""
-    labels = labels.normalized()
-    mat = operator_matrix_from_labels(labels)
-    diag = list(mat.diagonal())
-    sizes, levels = [], []
-    for value, run in itertools.groupby(diag):
-        sizes.append(len(list(run)))
-        levels.append(value)
-    steps = []
-    for a in range(len(levels) - 1):
-        step = levels[a] - levels[a + 1]
-        if step.denominator != 1 or step <= 0:
-            raise GradationError(
-                "internal inconsistency: block levels must decrease by positive integers"
-            )
-        steps.append(int(step))
-    blocks = BlockStructure(labels.tag, tuple(sizes), tuple(steps))
-    return GradingOperator(blocks, tuple(levels), mat)
+    return canonical_block_operator(labels_to_block_structure(labels))
 
 
 def _first_half_boundaries(labels: DynkinLabels) -> list[tuple[int, int]]:
@@ -274,29 +257,17 @@ def block_structure_to_labels(blocks: BlockStructure) -> DynkinLabels:
 
 
 def canonical_block_operator(blocks: BlockStructure) -> GradingOperator:
-    """Grading operator from the closed-form per-block diagonal levels."""
-    tag = blocks.tag
-    p = blocks.count
-    sizes, steps = blocks.sizes, blocks.steps
-    levels = []
-    if tag.series == "A":
-        n = tag.ambient_dim
-        bounds = blocks.boundaries
-        for a in range(1, p + 1):
-            total = Fraction(0)
-            for b in range(1, a):
-                total -= steps[b - 1] * bounds[b - 1]
-            for b in range(a, p):
-                total += steps[b - 1] * (n - bounds[b - 1])
-            levels.append(total / n)
-    else:
-        for a in range(1, p + 1):
-            total = Fraction(0)
-            total -= sum(steps[: a - 1])
-            total += sum(steps[a - 1 :])
-            levels.append(Fraction(total, 2))
-    matrix = _level_matrix(tag, sizes, levels)
-    return GradingOperator(blocks, tuple(levels), matrix)
+    """Grading operator from the closed-form per-block diagonal levels.
+
+    The level falls by m_a from block a to block a + 1 and the diagonal is
+    traceless.  Block a sits D_a = m_1 + ... + m_{a-1} below the first, so
+    level_a = sum_b k_b D_b / n - D_a: for series A this is
+    (sum_{b>=a} m_b (n - K_b) - sum_{b<a} m_b K_b) / n, and for the
+    palindromic B, C and D partitions (sum_{b>=a} m_b - sum_{b<a} m_b) / 2.
+    """
+    drops = (0,) + tuple(itertools.accumulate(blocks.steps))
+    top = Fraction(sum(k * d for k, d in zip(blocks.sizes, drops)), blocks.tag.ambient_dim)
+    return GradingOperator(blocks, tuple(top - d for d in drops))
 
 
 def block_degree(a: int, b: int, blocks: BlockStructure) -> int:
@@ -337,15 +308,10 @@ def graded_decomposition(op: GradingOperator) -> GradedDecomposition:
     mirror for B/C/D), so its degree is the integer level difference of the
     two blocks involved.
     """
-    level_of = [
-        level for size, level in zip(op.blocks.sizes, op.levels) for _ in range(size)
-    ]
+    diagonal = op.diagonal
     subspaces: dict[int, list[np.ndarray]] = {}
     for elem, (i, j) in algebra_basis_with_positions(op.tag):
-        degree = level_of[i - 1] - level_of[j - 1]
-        if degree.denominator != 1:
-            raise GradationError("internal inconsistency: non-integer degree")
-        subspaces.setdefault(int(degree), []).append(elem)
+        subspaces.setdefault(int(diagonal[i - 1] - diagonal[j - 1]), []).append(elem)
     return GradedDecomposition(op, subspaces)
 
 

@@ -13,6 +13,7 @@ chirality; ``_c_samples`` is the one place that tells the two apart.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -314,10 +315,15 @@ class GridSpec:
     n_plus: int
 
     def __post_init__(self):
+        for name in ("n_minus", "n_plus"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_minus < 3 or self.n_plus < 3:
             raise ValueError("need at least 3 samples per direction for the interior stencil")
-        if self.h_minus <= 0 or self.h_plus <= 0:
-            raise ValueError("grid spacings must be positive")
+        if not (0 < self.h_minus < math.inf and 0 < self.h_plus < math.inf):
+            raise ValueError("grid spacings must be positive and finite")
 
     @property
     def z_minus(self) -> np.ndarray:

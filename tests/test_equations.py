@@ -8,7 +8,7 @@ from todakit import equations
 from todakit.equations import StationPlan, evaluate_rhs, independent_equations
 from todakit.exact import SingularMatrixError
 from todakit.liealg import antidiag_unit, symplectic_form
-from todakit.toda import emit_equations
+from todakit.toda import _c_relations, emit_equations
 
 from conftest import ALL_CASES, build_case, line_couplings, random_couplings, smooth_closure
 
@@ -94,6 +94,25 @@ def test_p2_single_equation_even_series():
     assert len(eqs[0].terms) == 1  # no left neighbour term for s = 1
     text = emit_equations(system, "text")
     assert "C_{+1}^T = C_{+1}" in text
+
+
+@pytest.mark.parametrize("series, rank, sizes, pair_line", [
+    ("C", 1, (1, 1), None),
+    ("C", 2, (2, 2), None),
+    ("C", 3, (1, 2, 2, 1),
+     "C_{+a}^T = -C_{+(4-a)} and C_{-a}^T = -C_{-(4-a)} for a = 1..1"),
+], ids=["C1-p2", "C2-p2", "C3-p4"])
+def test_c_even_mirror_pairs_exclude_the_centre(series, rank, sizes, pair_line):
+    # the centre is symmetric, C_s^T = C_s; a mirror range through s would add
+    # C_s^T = -C_s and with it force C_s = 0
+    system = build_case(series, rank, sizes)
+    s = len(sizes) // 2
+    lines = equations.constraint_descriptions(system)
+    pairs = [line for line in lines if "-a)}" in line]
+    assert pairs == ([pair_line] if pair_line else [])
+    assert f"C_{{+{s}}}^T = C_{{+{s}}} and C_{{-{s}}}^T = C_{{-{s}}}" in lines
+    mirrored = {a for a, mate, _, _ in _c_relations(system, "+") if a != mate}
+    assert mirrored == set(range(1, s))
 
 
 def _reference_rhs(eq, get_beta, get_c):

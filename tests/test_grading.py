@@ -10,6 +10,7 @@ from todakit.grading import (
     BlockStructure,
     DynkinLabels,
     GradationError,
+    GradingOperator,
     block_degree,
     block_structure_to_labels,
     canonical_block_operator,
@@ -36,13 +37,60 @@ def _random_labels(tag, rng):
             return DynkinLabels(tag, labels)
 
 
+def _cartan_diagonal(labels):
+    """Diagonal of the Cartan-inverse definition sum_{i,j} h_i (K^{-1})_{ij} q_j."""
+    return tuple(operator_matrix_from_labels(labels.normalized()).diagonal())
+
+
 def test_operator_values():
-    op = operator_from_labels(DynkinLabels(SeriesTag("A", 2), (1, 0)))
-    assert [str(op.matrix[i, i]) for i in range(3)] == ["2/3", "-1/3", "-1/3"]
-    op = operator_from_labels(DynkinLabels(SeriesTag("B", 2), (1, 0)))
-    assert [str(op.matrix[i, i]) for i in range(5)] == ["1", "0", "0", "0", "-1"]
-    op = operator_from_labels(DynkinLabels(SeriesTag("D", 4), (0, 0, 0, 1)))
-    assert [str(op.matrix[i, i]) for i in range(8)] == ["1/2"] * 4 + ["-1/2"] * 4
+    for tag, labels, want in [
+        (SeriesTag("A", 2), (1, 0), ["2/3", "-1/3", "-1/3"]),
+        (SeriesTag("B", 2), (1, 0), ["1", "0", "0", "0", "-1"]),
+        (SeriesTag("D", 4), (0, 0, 0, 1), ["1/2"] * 4 + ["-1/2"] * 4),
+    ]:
+        labels = DynkinLabels(tag, labels)
+        op = operator_from_labels(labels)
+        assert [str(q) for q in op.diagonal] == want
+        assert op.diagonal == _cartan_diagonal(labels)
+
+
+def test_grading_operator_equality_and_hash():
+    labels = DynkinLabels(SeriesTag("D", 4), (0, 0, 1, 0))
+    op = operator_from_labels(labels)
+    same = canonical_block_operator(BlockStructure(SeriesTag("D", 4), (4, 4), (1,)))
+    other = operator_from_labels(DynkinLabels(SeriesTag("D", 4), (1, 0, 0, 0)))
+    assert op == same and hash(op) == hash(same)
+    assert op != other
+    assert len({op, same, other}) == 2
+
+
+def test_grading_operator_rejects_levels_off_the_steps():
+    blocks = BlockStructure(SeriesTag("A", 2), (1, 2), (1,))
+    with pytest.raises(GradationError):
+        GradingOperator(blocks, (Fraction(2, 3), Fraction(-4, 3)))
+    with pytest.raises(GradationError):
+        GradingOperator(blocks, (Fraction(2, 3),))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DynkinLabels(SeriesTag("A", 2), (1.9, 0)),
+    lambda: DynkinLabels(SeriesTag("A", 2), (1, 0.0)),
+], ids=["fractional", "float-zero"])
+def test_labels_reject_non_integers(make):
+    with pytest.raises(GradationError, match="labels must be integers"):
+        make()
+
+
+@pytest.mark.parametrize("sizes, steps", [((1.5, 1.5), (1,)), ((1, 2), (2.7,))],
+                         ids=["sizes", "steps"])
+def test_block_structure_rejects_non_integers(sizes, steps):
+    with pytest.raises(GradationError, match="must be integers"):
+        BlockStructure(SeriesTag("A", 2), sizes, steps)
+
+
+def test_integer_like_labels_are_accepted():
+    labels = DynkinLabels(SeriesTag("A", 2), np.array([1, 0]))
+    assert labels.labels == (1, 0) and all(type(q) is int for q in labels.labels)
 
 
 def test_all_zero_labels_rejected():
@@ -87,14 +135,12 @@ def test_operator_equals_canonical(series, rank, rng):
     for d in range(1, rank + 1):
         labels = DynkinLabels(tag, tuple(1 if i == d - 1 else 0 for i in range(rank)))
         op = operator_from_labels(labels)
-        cb = canonical_block_operator(labels_to_block_structure(labels))
-        assert rmat_equal(op.matrix, cb.matrix)
-        assert op.levels == cb.levels
+        assert op.blocks == labels_to_block_structure(labels)
+        assert op.diagonal == _cartan_diagonal(labels)
     for _ in range(10):
         labels = _random_labels(tag, rng)
         op = operator_from_labels(labels)
-        cb = canonical_block_operator(labels_to_block_structure(labels))
-        assert rmat_equal(op.matrix, cb.matrix)
+        assert op.diagonal == _cartan_diagonal(labels)
 
 
 def test_d_series_normalization_via_automorphism():

@@ -2,19 +2,30 @@
 
 Systems are drawn from all five constraint classes with rank at most 4:
 every block partition for series A, every palindromic one for B, C and D,
-each kept when ``build_system`` accepts it.  Fields and couplings come from
-the shared generators in ``conftest``.
+each kept when ``build_system`` accepts it.  Fields, couplings and gauge
+factors come from the shared generators in ``conftest``.  Gradations are
+drawn as root labels up to rank 8.
 """
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import todakit as tk
+from todakit.grading import DynkinLabels, operator_from_labels, operator_matrix_from_labels
+from todakit.liealg import _MIN_RANK
 from todakit.solver import BlowUpError, ConvergenceError, march
 from todakit.toda import central_defect
 
-from conftest import boundary_from_closure, build_case, random_couplings, smooth_closure
+from conftest import (
+    boundary_from_closure,
+    build_case,
+    central_generator,
+    random_complex,
+    random_couplings,
+    smooth_closure,
+)
 
 DIMENSION = {"A": lambda r: r + 1, "B": lambda r: 2 * r + 1, "C": lambda r: 2 * r, "D": lambda r: 2 * r}
 
@@ -92,3 +103,48 @@ def test_march_keeps_the_central_block_on_its_manifold(case, seed):
     if system.central_form() is not None:
         central = result.field.betas[-1]
         assert central_defect(system, central.reshape(-1, *central.shape[-2:])) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), seed=seeds)
+@example(case=SHARED_CENTRAL, seed=0)
+def test_constant_gauge_conjugates_the_full_residual(case, seed):
+    """gamma -> xi_+^{-1} gamma xi_- with constant factors maps R to xi_-^{-1} R xi_-."""
+    system = build_case(*case)
+    rng = np.random.default_rng(seed)
+    spec = tk.GridSpec(0.0, 0.0, 0.11, 0.13, 6, 6)
+    field = tk.field_from_closure(system, spec, smooth_closure(system, rng))
+    c = random_couplings(system, rng)
+    central = system.central_form() is not None
+    count = system.independent_beta_count
+    sizes = system.blocks.sizes
+
+    def factors():
+        return [expm(central_generator(system, rng, 0.3)) if central and a == count - 1
+                else expm(random_complex(rng, (sizes[a], sizes[a]), 0.3))
+                for a in range(count)]
+
+    xi_minus, xi_plus = factors(), factors()
+    before = tk.residual_full(system, field, c).full_grid
+    after = tk.residual_full(system, *tk.gauge_transform(system, field, c, xi_minus, xi_plus)).full_grid
+    xi = tk.assemble_gamma(system, xi_minus)
+    expected = np.linalg.inv(xi) @ before @ xi
+    assert np.max(np.abs(after - expected)) <= 1e-12 * np.max(np.abs(before))
+
+
+@st.composite
+def root_labels(draw, max_rank: int = 8, max_label: int = 3):
+    series = draw(st.sampled_from(sorted(_MIN_RANK)))
+    rank = draw(st.integers(_MIN_RANK[series], max_rank))
+    labels = draw(st.lists(st.integers(0, max_label), min_size=rank, max_size=rank))
+    assume(any(labels))
+    return DynkinLabels(tk.SeriesTag(series, rank), tuple(labels))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=root_labels())
+@example(labels=DynkinLabels(tk.SeriesTag("D", 4), (2, 0, 3, 1)))
+def test_closed_form_diagonal_is_the_cartan_definition(labels):
+    """The closed-form block levels equal sum_{i,j} h_i (K^{-1})_{ij} q_j."""
+    cartan = operator_matrix_from_labels(labels.normalized())
+    assert operator_from_labels(labels).diagonal == tuple(cartan.diagonal())

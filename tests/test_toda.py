@@ -43,6 +43,28 @@ def test_build_system_rejects_bad_blocks():
         tk.TodaSystem(tk.BlockStructure(tk.SeriesTag("A", 3), (2, 2), (2,)))
 
 
+def test_build_system_rejects_fractional_sizes():
+    # (1.5, 1.5) used to be truncated to the valid A1 partition (1, 1)
+    with pytest.raises(tk.GradationError, match="block sizes must be integers"):
+        build_case("A", 1, (1.5, 1.5))
+
+
+@pytest.mark.parametrize("args", [
+    (0.0, 0.0, 0.1, 0.1, 5.5, 5),
+    (0.0, 0.0, 0.1, 0.1, 5, 5.0),
+    (0.0, 0.0, float("nan"), 0.1, 5, 5),
+    (0.0, 0.0, 0.1, float("inf"), 5, 5),
+], ids=["fractional-n-minus", "float-n-plus", "nan-h-minus", "inf-h-plus"])
+def test_grid_spec_rejects_non_integer_counts_and_non_finite_spacing(args):
+    with pytest.raises(ValueError):
+        tk.GridSpec(*args)
+
+
+def test_grid_spec_keeps_integer_like_counts():
+    spec = tk.GridSpec(0.0, 0.0, 0.1, 0.1, np.int64(5), 6)
+    assert type(spec.n_minus) is int and spec.z_minus.shape == (5,)
+
+
 def test_assemble_c_single_block():
     system = build_case("A", 1, (1, 1))
     c = tk.make_c_blocks(system, [np.array([[-1.0]])], [np.array([[1.0]])])
