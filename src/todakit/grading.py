@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -284,10 +284,13 @@ def block_degree(a: int, b: int, blocks: BlockStructure) -> int:
 
 @dataclass(frozen=True)
 class GradedDecomposition:
-    """Bases of the graded subspaces, keyed by integer degree."""
+    """Bases of the graded subspaces, keyed by integer degree.
+
+    The operator determines the subspaces, so equality and hashing use it alone.
+    """
 
     operator: GradingOperator
-    subspaces: dict[int, list[np.ndarray]]
+    subspaces: dict[int, list[np.ndarray]] = field(compare=False)
 
     def dimension(self, degree: int) -> int:
         return len(self.subspaces.get(degree, []))

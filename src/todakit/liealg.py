@@ -12,6 +12,7 @@ promote to complex automatically in floating computations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -33,6 +34,12 @@ class SeriesTag:
     def __post_init__(self):
         if self.series not in _MIN_RANK:
             raise ValueError(f"unknown series {self.series!r}; expected A, B, C or D")
+        try:
+            if isinstance(self.rank, bool):
+                raise TypeError
+            object.__setattr__(self, "rank", operator.index(self.rank))
+        except TypeError:
+            raise ValueError(f"rank must be an integer, got {self.rank!r}") from None
         if self.rank < _MIN_RANK[self.series]:
             raise ValueError(
                 f"series {self.series} requires rank >= {_MIN_RANK[self.series]}, got {self.rank}"

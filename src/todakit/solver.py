@@ -64,8 +64,9 @@ __all__ = [
 ]
 
 # corrector sweeps allowed per column, their fixed-point tolerance (relative
-# to the column's largest entry) and the largest admissible condition number
-# bound or magnitude of a block sample
+# to the column's largest entry; met by the last change, or by the distance
+# to the fixed point that the contraction rate predicts) and the largest
+# admissible condition number bound or magnitude of a block sample
 _MAX_CORRECTORS = 25
 _FP_TOL = 1e-12
 _COND_LIMIT = 1e12
@@ -203,6 +204,12 @@ def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
+    Each column's corrector stops once its last change delta_k is within
+    the fixed-point tolerance, or once it contracts (theta = delta_k /
+    delta_{k-1} < 1) and the predicted distance to the fixed point,
+    delta_k theta / (1 - theta), is (Hairer & Wanner, *Solving ODEs II*,
+    sec. IV.8).
+
     Raises :class:`BlowUpError` at the first sample that is singular or
     whose condition number bound or magnitude degenerates, and
     :class:`ConvergenceError` if the corrector does not reach its fixed
@@ -295,9 +302,13 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
                 raise ConvergenceError(
                     f"corrector diverged at column {j + 1} (delta {delta:.3e})"
                 )
-            prev_delta = delta
             if delta <= _FP_TOL * scale:
                 break
+            if prev_delta is not None:
+                theta = delta / prev_delta
+                if theta < 1.0 and delta * theta / (1.0 - theta) <= _FP_TOL * scale:
+                    break
+            prev_delta = delta
         else:
             raise ConvergenceError(
                 f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"

@@ -64,6 +64,16 @@ def test_grading_operator_equality_and_hash():
     assert len({op, same, other}) == 2
 
 
+def test_graded_decomposition_equality_and_hash():
+    labels = DynkinLabels(SeriesTag("A", 2), (1, 0))
+    dec = graded_decomposition(operator_from_labels(labels))
+    same = graded_decomposition(operator_from_labels(labels))
+    other = graded_decomposition(operator_from_labels(DynkinLabels(SeriesTag("A", 2), (0, 1))))
+    assert dec == same and hash(dec) == hash(same)
+    assert dec != other
+    assert len({dec, same, other}) == 2
+
+
 def test_grading_operator_rejects_levels_off_the_steps():
     blocks = BlockStructure(SeriesTag("A", 2), (1, 2), (1,))
     with pytest.raises(GradationError):

@@ -33,6 +33,17 @@ def test_series_tag_validation():
     assert SeriesTag("A", 4).ambient_dim == 5
 
 
+@pytest.mark.parametrize("rank", [2.0, True, "2", None])
+def test_series_tag_rejects_non_integral_rank(rank):
+    with pytest.raises(ValueError):
+        SeriesTag("A", rank)
+
+
+def test_series_tag_rank_is_a_python_int():
+    tag = SeriesTag("A", np.int64(2))
+    assert type(tag.rank) is int and tag.ambient_dim == 3
+
+
 def test_basis_unit():
     assert basis_unit(1, 2, 2).tolist() == [[0, 1], [0, 0]]
     assert basis_unit(2, 2, 2).tolist() == [[0, 0], [0, 1]]
