@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import Rational, rmat_inverse, rzeros
+from .exact import rmat_inverse, rzeros
 from .liealg import SeriesTag
 
 
@@ -58,7 +58,7 @@ def cartan_matrix(tag: SeriesTag) -> CartanMatrix:
     return CartanMatrix(tag, k, inverse)
 
 
-def cartan_inverse_closed_form(tag: SeriesTag, i: int, j: int) -> Rational:
+def cartan_inverse_closed_form(tag: SeriesTag, i: int, j: int) -> Fraction:
     """Entry (i, j) of the inverse Cartan matrix, 1-based, in closed form."""
     r = tag.rank
     if not (1 <= i <= r and 1 <= j <= r):

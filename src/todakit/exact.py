@@ -1,9 +1,9 @@
-"""Exact rational scalars and dense rational matrix arithmetic.
+"""Exact rational matrices: the reference tools of the exact layer.
 
 Rational values are ``fractions.Fraction`` (arbitrary-precision, always
 stored in lowest terms with a positive denominator).  Matrices are numpy
-object arrays whose entries are Fractions, so every operation below is
-exact; floating point enters only through the explicit conversions.
+object arrays whose entries are Fractions, so ``@`` on them and the
+inverse below are exact.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-
-Rational = Fraction
 
 
 class ShapeError(ValueError):
@@ -25,11 +23,6 @@ class SingularMatrixError(ArithmeticError):
     def __init__(self, message: str, index: tuple[int, ...] = ()):
         super().__init__(message)
         self.index = index
-
-
-def rational(value) -> Fraction:
-    """Coerce ints, strings like '2/3', or Fractions to a canonical Fraction."""
-    return Fraction(value)
 
 
 def rational_matrix(rows) -> np.ndarray:
@@ -51,22 +44,6 @@ def rzeros(nrows: int, ncols: int) -> np.ndarray:
     return out
 
 
-def ridentity(n: int) -> np.ndarray:
-    out = rzeros(n, n)
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
-
-
-def rmat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact matrix product."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("operands must be 2-d matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return np.dot(a, b)
-
-
 def rmat_inverse(a: np.ndarray) -> np.ndarray:
     """Exact inverse by Gauss-Jordan elimination with partial pivoting.
 
@@ -78,7 +55,8 @@ def rmat_inverse(a: np.ndarray) -> np.ndarray:
         raise ShapeError(f"matrix of shape {a.shape} is not square")
     n = a.shape[0]
     work = a.copy()
-    inv = ridentity(n)
+    inv = rzeros(n, n)
+    np.fill_diagonal(inv, Fraction(1))
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: (abs(work[r, col]), -r))
         if work[pivot_row, col] == 0:
@@ -95,11 +73,6 @@ def rmat_inverse(a: np.ndarray) -> np.ndarray:
                 work[row] = work[row] - factor * work[col]
                 inv[row] = inv[row] - factor * inv[col]
     return inv
-
-
-def rat_to_float(x: Fraction) -> float:
-    """Nearest double-precision value."""
-    return float(x)
 
 
 def rmat_equal(a: np.ndarray, b: np.ndarray) -> bool:

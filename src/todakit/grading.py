@@ -174,7 +174,7 @@ def operator_matrix_from_labels(labels: DynkinLabels) -> np.ndarray:
         )
         if coeff == 0:
             continue
-        hdiag = gens[i].diagonal()
+        hdiag = gens[i].diagonal().tolist()
         for m in range(n):
             if hdiag[m]:
                 diag[m] += coeff * hdiag[m]

@@ -5,8 +5,8 @@ on the orthogonal algebras defined by the antidiagonal bilinear form, and
 series C on the symplectic algebra for the antidiagonal symplectic form;
 ``invariant_form`` gives each series' form and ``t_transpose`` the twist.
 All indices in the public API are 1-based, matching the unit matrices
-e_{i,j}; matrices built here carry exact integer (or Fraction) entries and
-promote to complex automatically in floating computations.
+e_{i,j}; matrices built here carry exact integer entries and promote to
+complex automatically in floating computations.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ShapeError, rzeros
+from .exact import ShapeError
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 
@@ -183,14 +182,14 @@ def group_membership(tag: SeriesTag, g: np.ndarray, tol=None) -> Membership:
 
 
 def cartan_generators(tag: SeriesTag) -> list[np.ndarray]:
-    """Diagonal Cartan generators h_1..h_r as exact rational matrices."""
+    """Diagonal Cartan generators h_1..h_r as int64 matrices."""
     r, n = tag.rank, tag.ambient_dim
     gens = []
 
     def diag_matrix(pairs):
-        h = rzeros(n, n)
+        h = np.zeros((n, n), dtype=np.int64)
         for idx, val in pairs:
-            h[idx - 1, idx - 1] = Fraction(val)
+            h[idx - 1, idx - 1] = val
         return h
 
     if tag.series == "A":

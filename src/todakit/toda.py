@@ -13,6 +13,7 @@ chirality; ``_c_samples`` is the one place that tells the two apart.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field as dataclass_field
 
@@ -36,7 +37,6 @@ __all__ = [
     "assemble_c",
     "complete_betas",
     "assemble_gamma",
-    "gamma_grid",
     "field_from_closure",
     "residual_full",
     "block_residuals",
@@ -135,13 +135,13 @@ def _shape_of_c(system: TodaSystem, sign: str, a: int) -> tuple[int, int]:
 def _coerce_entry(system, sign, a, value) -> np.ndarray:
     arr = np.asarray(value, dtype=complex)
     want = _shape_of_c(system, sign, a)
-    if arr.ndim == 2 and arr.shape == want:
-        return arr
-    if arr.ndim == 3 and arr.shape[1:] == want:
-        return arr
-    raise ShapeError(
-        f"C_{{{sign}{a}}} must have block shape {want} (optionally stacked), got {arr.shape}"
-    )
+    if arr.ndim not in (2, 3) or arr.shape[-2:] != want:
+        raise ShapeError(
+            f"C_{{{sign}{a}}} must have block shape {want} (optionally stacked), got {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError(f"C_{{{sign}{a}}} holds a non-finite entry")
+    return arr
 
 
 def _c_relations(system: TodaSystem, sign: str) -> list:
@@ -322,8 +322,12 @@ class GridSpec:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n_minus < 3 or self.n_plus < 3:
             raise ValueError("need at least 3 samples per direction for the interior stencil")
-        if not (0 < self.h_minus < math.inf and 0 < self.h_plus < math.inf):
-            raise ValueError("grid spacings must be positive and finite")
+        coords = (self.z_minus_start, self.z_plus_start, self.h_minus, self.h_plus)
+        real = all(isinstance(v, numbers.Real) for v in coords)
+        if not (real and np.isfinite(np.array(coords, float)).all()):
+            raise ValueError(f"grid origin and spacings must be finite real numbers, got {coords}")
+        if self.h_minus <= 0 or self.h_plus <= 0:
+            raise ValueError("grid spacings must be positive")
 
     @property
     def z_minus(self) -> np.ndarray:
@@ -361,11 +365,6 @@ def _sample_closure(system: TodaSystem, closure, z_minus, z_plus) -> tuple[np.nd
 def field_from_closure(system: TodaSystem, spec: GridSpec, closure) -> GridField:
     """Sample ``closure(z_minus, z_plus) -> [independent blocks]`` on the grid."""
     return GridField(spec, _sample_closure(system, closure, spec.z_minus[:, None], spec.z_plus[None, :]))
-
-
-def gamma_grid(system: TodaSystem, field: GridField) -> np.ndarray:
-    """Full block-diagonal group element sampled over the grid."""
-    return _place_blocks(system, complete_betas(system, field.betas, check_tol=None), 0)
 
 
 def _gamma_and_inverse(system, field):
@@ -565,23 +564,13 @@ def _squeeze_constant(entry: np.ndarray) -> np.ndarray:
     return entry
 
 
-def conformal_transform(system: TodaSystem, field, f_minus, f_plus, spec: GridSpec | None = None) -> GridField:
+def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: GridSpec) -> GridField:
     """Reparametrize by (F^-, F^+) and compensate with the grading weights.
 
     ``f_minus`` and ``f_plus`` are (F, dF) pairs of callables with dF > 0 on
-    the grid.  ``field`` is either a closure (z_minus, z_plus) -> list of
-    independent block values, or a GridField, in which case the composed
-    samples are obtained by bilinear interpolation and must stay inside the
-    sampled rectangle.  The new field lives on the original grid.
+    the grid, and ``closure(z_minus, z_plus)`` returns the independent block
+    values.  The new field is sampled on ``spec``.
     """
-    if isinstance(field, GridField):
-        if spec is None:
-            spec = field.spec
-        closure = _interpolating_closure(system, field)
-    else:
-        if spec is None:
-            raise ValueError("a GridSpec is required when the field is given as a closure")
-        closure = field
     fm, dfm = f_minus
     fp, dfp = f_plus
     levels = canonical_block_operator(system.blocks).levels
@@ -599,28 +588,3 @@ def conformal_transform(system: TodaSystem, field, f_minus, f_plus, spec: GridSp
                 for a in range(system.independent_beta_count)]
 
     return field_from_closure(system, spec, composed)
-
-
-def _interpolating_closure(system: TodaSystem, field: GridField):
-    spec = field.spec
-    zm, zp = spec.z_minus, spec.z_plus
-
-    def closure(x, y):
-        if not (zm[0] - 1e-12 <= x <= zm[-1] + 1e-12 and zp[0] - 1e-12 <= y <= zp[-1] + 1e-12):
-            raise DomainError(f"composed sample point ({x}, {y}) leaves the sampled domain")
-        i = min(max(int((x - zm[0]) / spec.h_minus), 0), spec.n_minus - 2)
-        j = min(max(int((y - zp[0]) / spec.h_plus), 0), spec.n_plus - 2)
-        tx = (x - zm[i]) / spec.h_minus
-        ty = (y - zp[j]) / spec.h_plus
-        out = []
-        for block in field.betas:
-            corner = (
-                (1 - tx) * (1 - ty) * block[i, j]
-                + tx * (1 - ty) * block[i + 1, j]
-                + (1 - tx) * ty * block[i, j + 1]
-                + tx * ty * block[i + 1, j + 1]
-            )
-            out.append(corner)
-        return out
-
-    return closure

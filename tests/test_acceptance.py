@@ -11,7 +11,7 @@ import numpy as np
 
 import todakit as tk
 from todakit.cartan import cartan_inverse_closed_form, cartan_matrix
-from todakit.exact import ridentity, rmat_equal, rmat_mul
+from todakit.exact import rational_matrix, rmat_equal
 from todakit.grading import (
     DynkinLabels,
     exact_span_contains,
@@ -29,7 +29,7 @@ from todakit.liealg import (
     group_membership,
 )
 from todakit.solver import liouville_boundary, liouville_closure, liouville_field, march
-from todakit.toda import gamma_grid
+from todakit.toda import assemble_gamma
 
 from conftest import (
     SYSTEM_CASES,
@@ -71,7 +71,7 @@ def test_criterion_1_cartan_exactness():
         for rank in range(MIN_RANK[series], 13):
             tag = SeriesTag(series, rank)
             km = cartan_matrix(tag)
-            assert rmat_equal(rmat_mul(km.matrix, km.inverse), ridentity(rank))
+            assert rmat_equal(km.matrix @ km.inverse, rational_matrix(np.eye(rank, dtype=int)))
             for i in range(1, rank + 1):
                 for j in range(1, rank + 1):
                     assert km.inverse[i - 1, j - 1] == cartan_inverse_closed_form(tag, i, j)
@@ -268,7 +268,7 @@ def test_criterion_9_constraint_preservation():
             verdict = algebra_membership(system.tag, tk.assemble_c(system, c, sign))
             assert verdict.member and verdict.defect <= 1e-12
         result = march(system, c, boundary_from_closure(system, spec, closure))
-        gamma = gamma_grid(system, result.field)
+        gamma = assemble_gamma(system, result.field.betas)
         flat = gamma.reshape(-1, *gamma.shape[-2:])
         worst = max(
             group_membership(system.tag, g, tol=np.inf).defect for g in flat

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from todakit.cartan import cartan_inverse_closed_form, cartan_matrix
-from todakit.exact import ridentity, rmat_equal, rmat_mul
+from todakit.exact import rational_matrix, rmat_equal
 from todakit.liealg import SeriesTag
 
 
@@ -57,7 +58,7 @@ def test_exact_inverse_and_closed_form(series):
     for r in _ranks(series):
         tag = SeriesTag(series, r)
         km = cartan_matrix(tag)
-        assert rmat_equal(rmat_mul(km.matrix, km.inverse), ridentity(r))
+        assert rmat_equal(km.matrix @ km.inverse, rational_matrix(np.eye(r, dtype=int)))
         for i in range(1, r + 1):
             for j in range(1, r + 1):
                 assert km.inverse[i - 1, j - 1] == cartan_inverse_closed_form(tag, i, j)

@@ -416,8 +416,13 @@ def test_system_writer_rejects_line_couplings():
 
 def test_selftest(capsys):
     assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") >= 5 and "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS  exact inverse roundtrip",
+        "PASS  cartan B2 inverse",
+        "PASS  grading A2 (1,0)",
+        "PASS  residual order ~ 2",
+        "PASS  march reproduces closed form",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,21 @@ def test_build_system_rejects_fractional_sizes():
     (0.0, 0.0, 0.1, 0.1, 5, 5.0),
     (0.0, 0.0, float("nan"), 0.1, 5, 5),
     (0.0, 0.0, 0.1, float("inf"), 5, 5),
-], ids=["fractional-n-minus", "float-n-plus", "nan-h-minus", "inf-h-plus"])
+    (float("nan"), 0.0, 0.1, 0.1, 5, 5),
+    (0.0, 0.0, "0.1", 0.1, 5, 5),
+], ids=["fractional-n-minus", "float-n-plus", "nan-h-minus", "inf-h-plus", "nan-z-minus-start",
+        "string-h-minus"])
 def test_grid_spec_rejects_non_integer_counts_and_non_finite_spacing(args):
     with pytest.raises(ValueError):
         tk.GridSpec(*args)
+
+
+def test_make_c_blocks_rejects_non_finite_coupling():
+    system = build_case("A", 1, (1, 1))
+    with pytest.raises(ValueError, match="non-finite"):
+        tk.make_c_blocks(system, [np.array([[np.nan]])], [np.array([[1.0]])])
+    with pytest.raises(ValueError, match="non-finite"):
+        tk.make_c_blocks(system, [np.array([[-1.0]])], [np.full((3, 1, 1), np.inf)])
 
 
 def test_grid_spec_keeps_integer_like_counts():
@@ -409,20 +420,15 @@ def test_conformal_identity_translation_scaling():
 
 
 def test_conformal_rejects_decreasing_map():
+    from todakit.solver import liouville_closure
+
     spec = tk.GridSpec(0.0, 2.0, 0.25, 0.25, 5, 5)
-    lv = liouville_field(spec)
     bad = (lambda z: -z, lambda z: -1.0)
     good = (lambda z: z, lambda z: 1.0)
     with pytest.raises(tk.DomainError):
-        tk.conformal_transform(lv.system, lv.field, bad, good)
-
-
-def test_conformal_interpolation_domain_escape():
-    spec = tk.GridSpec(0.0, 2.0, 1 / 16, 1 / 16, 17, 17)
-    lv = liouville_field(spec)
-    shift = (lambda z: z + 0.5, lambda z: 1.0)
+        tk.conformal_transform(liouville_system(), liouville_closure(), bad, good, spec=spec)
     with pytest.raises(tk.DomainError):
-        tk.conformal_transform(lv.system, lv.field, shift, shift)
+        tk.conformal_transform(liouville_system(), liouville_closure(), good, bad, spec=spec)
 
 
 def test_chiral_line_couplings_accepted(rng):
