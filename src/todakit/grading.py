@@ -42,6 +42,11 @@ class GradationError(ValueError):
     """Invalid labels or block data for a gradation."""
 
 
+def _check_tag(tag):
+    if not isinstance(tag, SeriesTag):
+        raise GradationError(f"tag must be a SeriesTag, got {type(tag).__name__}")
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
     try:
         return tuple(operator.index(v) for v in values)
@@ -57,6 +62,7 @@ class DynkinLabels:
     labels: tuple[int, ...]
 
     def __post_init__(self):
+        _check_tag(self.tag)
         object.__setattr__(self, "labels", _integers(self.labels, "labels"))
         if len(self.labels) != self.tag.rank:
             raise GradationError(
@@ -89,6 +95,7 @@ class BlockStructure:
     steps: tuple[int, ...]
 
     def __post_init__(self):
+        _check_tag(self.tag)
         object.__setattr__(self, "sizes", _integers(self.sizes, "block sizes"))
         object.__setattr__(self, "steps", _integers(self.steps, "steps"))
         p = len(self.sizes)

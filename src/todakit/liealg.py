@@ -31,7 +31,7 @@ class SeriesTag:
     rank: int
 
     def __post_init__(self):
-        if self.series not in _MIN_RANK:
+        if not isinstance(self.series, str) or self.series not in _MIN_RANK:
             raise ValueError(f"unknown series {self.series!r}; expected A, B, C or D")
         try:
             if isinstance(self.rank, bool):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equations import StationPlan, batched_inverse, independent_equations
-from .exact import ShapeError, SingularMatrixError
+from .exact import SingularMatrixError
 from .liealg import SeriesTag, _max_abs, form_defect
 from .toda import (
     CBlocks,
@@ -40,6 +40,7 @@ from .toda import (
     GridSpec,
     ResidualReport,
     TodaSystem,
+    _block_arrays,
     _c_samples,
     _sample_closure,
     block_residuals,
@@ -99,25 +100,14 @@ class CharacteristicData:
     bottom: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.left) != len(self.bottom):
-            raise ShapeError(
-                f"left has {len(self.left)} block lines but bottom has {len(self.bottom)}"
-            )
-        for name, lines, count in (("left", self.left, self.spec.n_minus),
-                                   ("bottom", self.bottom, self.spec.n_plus)):
-            for a, arr in enumerate(lines, start=1):
-                if arr.ndim != 3 or arr.shape[0] != count or arr.shape[1] != arr.shape[2]:
-                    raise ShapeError(
-                        f"{name} line of block {a} must be ({count}, k, k), got {arr.shape}"
-                    )
-                if not np.isfinite(np.asarray(arr, dtype=complex)).all():
-                    raise ValueError(f"{name} line of block {a} holds a non-finite sample")
-        for a, (lft, bot) in enumerate(zip(self.left, self.bottom), start=1):
-            if lft.shape[1:] != bot.shape[1:]:
-                raise ShapeError(
-                    f"left and bottom lines of block {a} hold {lft.shape[1:]} and "
-                    f"{bot.shape[1:]} samples"
-                )
+        if not isinstance(self.spec, GridSpec):
+            raise ValueError(f"spec must be a GridSpec, got {type(self.spec).__name__}")
+        left = _block_arrays(self.left, None, "left line", ((self.spec.n_minus,),))
+        bottom = _block_arrays(self.bottom, [line.shape[1:] for line in left], "bottom line",
+                               ((self.spec.n_plus,),))
+        object.__setattr__(self, "left", tuple(left))
+        object.__setattr__(self, "bottom", tuple(bottom))
+        for a, (lft, bot) in enumerate(zip(left, bottom), start=1):
             scale = 1.0 + float(np.max(np.abs(lft[0])))
             if float(np.max(np.abs(lft[0] - bot[0]))) > 1e-12 * scale:
                 raise ValueError(f"corner samples of block {a} disagree")
@@ -217,6 +207,8 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     :class:`ConvergenceError` if the corrector does not reach its fixed
     point within 25 sweeps.
     """
+    if not (isinstance(c, CBlocks) and isinstance(data, CharacteristicData) and c.system == system):
+        raise ValueError("march needs the system's CBlocks and a CharacteristicData")
     spec = data.spec
     ni, nj = spec.n_minus, spec.n_plus
     hm, hp = spec.h_minus, spec.h_plus
@@ -224,14 +216,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     sizes = system.blocks.sizes
     # one equation per independent block, in block order
     plan = StationPlan(independent_equations(system))
-    if len(data.left) != count:
-        raise ShapeError(f"boundary data must have {count} block lines, got {len(data.left)}")
-    for a in range(count):
-        if data.left[a].shape[1:] != (sizes[a], sizes[a]):
-            raise ShapeError(
-                f"boundary lines of block {a + 1} must hold {sizes[a]} x {sizes[a]} samples, "
-                f"got {data.left[a].shape[1:]}"
-            )
+    _block_arrays(data.left, [(k, k) for k in sizes[:count]], "boundary line", leads=None)
 
     data_mag, data_inv = [], []
     for a, lines in enumerate(zip(data.left, data.bottom), start=1):

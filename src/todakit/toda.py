@@ -8,6 +8,8 @@ sub/superdiagonals, and residuals of the governing matrix equation are
 evaluated with centered second-order differences on the grid interior.
 A coupling entry is one constant block or one sample per line of its
 chirality; ``_c_samples`` is the one place that tells the two apart.
+Block lists from a caller (couplings, diagonal blocks, gauge factors,
+boundary lines) are coerced and checked in ``_block_arrays`` only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
 from .exact import ShapeError
-from .grading import BlockStructure, canonical_block_operator
+from .grading import BlockStructure, _integers, canonical_block_operator
 from .liealg import SeriesTag, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
 
 __all__ = [
@@ -71,11 +73,6 @@ class TodaSystem:
         return self.blocks.tag
 
     @property
-    def level(self) -> int:
-        """Lowest nontrivial degree of the gradation (always 1 here)."""
-        return min(self.blocks.steps)
-
-    @property
     def constraint_set(self) -> str:
         series = self.tag.series
         if series == "A":
@@ -103,8 +100,45 @@ class TodaSystem:
 
 def build_system(tag: SeriesTag, sizes) -> TodaSystem:
     """Validate block sizes for the series and wrap them in a TodaSystem."""
-    blocks = BlockStructure(tag, tuple(sizes), (1,) * (len(tuple(sizes)) - 1))
-    return TodaSystem(blocks)
+    sizes = _integers(sizes, "block sizes")
+    return TodaSystem(BlockStructure(tag, sizes, (1,) * (len(sizes) - 1)))
+
+
+def _block_arrays(values, shapes, what: str, leads, counts=None) -> list[np.ndarray]:
+    """A caller's list of per-block matrices as complex arrays, checked.
+
+    ``values`` is a list or tuple whose entry a has shape ``lead + shapes[a]``
+    for a ``lead`` in ``leads`` (None in a lead matches any length, and
+    ``leads=None`` any leading axes).  It holds ``len(shapes)`` entries, or
+    any number in ``counts`` (taking the first shapes); ``shapes=None`` takes
+    any number of square blocks.  A wrong type, count or shape raises
+    ShapeError and a non-finite entry ValueError.  This is the one place
+    where block input from a caller is coerced and checked.
+    """
+    if not isinstance(values, (list, tuple)):
+        raise ShapeError(f"{what}s must be a list or tuple, got {type(values).__name__}")
+    counts = counts or ({len(values)} if shapes is None else {len(shapes)})
+    if len(values) not in counts:
+        raise ShapeError(f"expected {' or '.join(map(str, sorted(counts)))} {what}s, got {len(values)}")
+    out = []
+    for a, value in enumerate(values, start=1):
+        try:
+            arr = np.asarray(value)
+        except (TypeError, ValueError):  # ragged nesting, say
+            arr = None
+        if arr is None or arr.dtype.kind not in "iufc":
+            raise ShapeError(f"{what} {a} must be a numeric array, got {type(value).__name__}")
+        block = arr.shape[-1:] * 2 if shapes is None else tuple(shapes[a - 1])
+        lead = arr.shape[:arr.ndim - len(block)]
+        fits = leads is None or any(len(want) == len(lead) and all(w in (None, n) for w, n in zip(want, lead))
+                                    for want in leads)
+        if arr.shape[len(lead):] != block or not fits:
+            raise ShapeError(f"{what} {a} has shape {arr.shape}; its block shape is {block}")
+        arr = arr.astype(complex, copy=False)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{what} {a} holds a non-finite entry")
+        out.append(arr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +164,6 @@ def _shape_of_c(system: TodaSystem, sign: str, a: int) -> tuple[int, int]:
     if sign == "-":
         return (sizes[a], sizes[a - 1])
     return (sizes[a - 1], sizes[a])
-
-
-def _coerce_entry(system, sign, a, value) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
-    want = _shape_of_c(system, sign, a)
-    if arr.ndim not in (2, 3) or arr.shape[-2:] != want:
-        raise ShapeError(
-            f"C_{{{sign}{a}}} must have block shape {want} (optionally stacked), got {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise ValueError(f"C_{{{sign}{a}}} holds a non-finite entry")
-    return arr
 
 
 def _c_relations(system: TodaSystem, sign: str) -> list:
@@ -183,14 +205,10 @@ def make_c_blocks(system: TodaSystem, minus, plus, tol: float = 1e-12) -> CBlock
     all p-1 blocks, every relation is validated to ``tol``.
     """
     p = system.blocks.count
-    want = system.independent_c_count
     out = {}
     for sign, entries in (("-", minus), ("+", plus)):
-        entries = list(entries)
-        if len(entries) not in (want, p - 1):
-            raise ShapeError(f"expected {want} independent or all {p - 1} coupling blocks, "
-                             f"got {len(entries)}")
-        full = [_coerce_entry(system, sign, a, e) for a, e in enumerate(entries, start=1)]
+        full = _block_arrays(entries, [_shape_of_c(system, sign, a) for a in range(1, p)],
+                             f"C_{sign} block", ((), (None,)), {system.independent_c_count, p - 1})
         complete = len(full) == p - 1
         scale = 1.0 + max((_max_abs(e) for e in full), default=0.0)
         full += [None] * (p - 1 - len(full))
@@ -275,15 +293,9 @@ def central_defect(system: TodaSystem, central: np.ndarray) -> float:
 def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -> list[np.ndarray]:
     """All p diagonal blocks from the independent ones (batched arrays allowed)."""
     p = system.blocks.count
-    sizes = system.blocks.sizes
     want = system.independent_beta_count
-    values = [np.asarray(b, dtype=complex) for b in betas]
-    if len(values) != want:
-        raise ShapeError(f"expected {want} independent blocks, got {len(values)}")
-    for a, val in enumerate(values, start=1):
-        k = sizes[a - 1]
-        if val.shape[-2:] != (k, k):
-            raise ShapeError(f"block {a} must be {k} x {k}, got {val.shape[-2:]}")
+    values = _block_arrays(betas, [(k, k) for k in system.blocks.sizes[:want]], "independent block",
+                           leads=None)
     if system.tag.series == "A":
         return values
     if p % 2 == 1 and check_tol is not None:
@@ -323,7 +335,7 @@ class GridSpec:
         if self.n_minus < 3 or self.n_plus < 3:
             raise ValueError("need at least 3 samples per direction for the interior stencil")
         coords = (self.z_minus_start, self.z_plus_start, self.h_minus, self.h_plus)
-        real = all(isinstance(v, numbers.Real) for v in coords)
+        real = all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in coords)
         if not (real and np.isfinite(np.array(coords, float)).all()):
             raise ValueError(f"grid origin and spacings must be finite real numbers, got {coords}")
         if self.h_minus <= 0 or self.h_plus <= 0:
@@ -503,65 +515,24 @@ def curvature_residual(omega_minus: np.ndarray, omega_plus: np.ndarray, spec: Gr
 # symmetry transforms
 
 
-def _as_line(value, length: int, k: int, what: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=complex)
-    if arr.ndim == 2 and arr.shape == (k, k):
-        return np.broadcast_to(arr, (length, k, k))
-    if arr.ndim == 3 and arr.shape == (length, k, k):
-        return arr
-    raise ShapeError(f"{what} must be a {k} x {k} matrix or a line of {length} of them")
-
-
 def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, xi_plus):
     """Apply gamma -> xi_+^{-1} gamma xi_- with chiral block-diagonal factors.
 
-    ``xi_minus`` (``xi_plus``) supplies one value or sample line per
-    independent block, constant along the opposite coordinate.  Returns the
-    transformed field together with the conjugated coupling blocks.
+    ``xi_minus`` (``xi_plus``) supplies one matrix or one line of samples along
+    its own coordinate per independent block.  Returns the transformed field
+    together with the conjugated coupling blocks, which stay constant where
+    the factors they meet are constant.
     """
     spec = field.spec
-    sizes = system.blocks.sizes
-    count = system.independent_beta_count
-    xi_minus, xi_plus = list(xi_minus), list(xi_plus)
-    if len(xi_minus) != count or len(xi_plus) != count:
-        raise ShapeError(f"expected {count} gauge blocks per chirality")
-    xi_m = [
-        _as_line(x, spec.n_minus, sizes[a], f"xi_minus block {a + 1}")
-        for a, x in enumerate(xi_minus)
-    ]
-    xi_p = [
-        _as_line(x, spec.n_plus, sizes[a], f"xi_plus block {a + 1}")
-        for a, x in enumerate(xi_plus)
-    ]
-    xi_m_full = complete_betas(system, xi_m)
-    xi_p_full = complete_betas(system, xi_p)
-    new_betas = []
-    for a in range(count):
-        left = batched_inverse(xi_p_full[a])[None, :]
-        right = xi_m_full[a][:, None]
-        new_betas.append(left @ field.betas[a] @ right)
-    new_minus, new_plus = [], []
+    shapes = [(k, k) for k in system.blocks.sizes[:system.independent_beta_count]]
+    xi_m = complete_betas(system, _block_arrays(xi_minus, shapes, "xi_minus block", ((), (spec.n_minus,))))
+    xi_p = complete_betas(system, _block_arrays(xi_plus, shapes, "xi_plus block", ((), (spec.n_plus,))))
+    new_betas = tuple(batched_inverse(xp) @ beta @ xm[..., None, :, :]
+                      for beta, xm, xp in zip(field.betas, xi_m, xi_p))
     p = system.blocks.count
-    for a in range(1, p):
-        minus_entry = c.minus[a - 1]
-        plus_entry = c.plus[a - 1]
-        xm_next, xm_here = xi_m_full[a], xi_m_full[a - 1]
-        xp_here, xp_next = xi_p_full[a - 1], xi_p_full[a]
-        new_m = batched_inverse(xm_next) @ minus_entry @ xm_here
-        new_p = batched_inverse(xp_here) @ plus_entry @ xp_next
-        new_minus.append(_squeeze_constant(new_m))
-        new_plus.append(_squeeze_constant(new_p))
-    new_c = make_c_blocks(system, new_minus, new_plus, tol=1e-10)
-    return GridField(spec, tuple(new_betas)), new_c
-
-
-def _squeeze_constant(entry: np.ndarray) -> np.ndarray:
-    """Collapse a sample line whose values are all equal back to one matrix."""
-    if entry.ndim == 2:
-        return entry
-    if entry.shape[0] > 0 and np.allclose(entry, entry[0], rtol=0.0, atol=1e-14 * (1 + _max_abs(entry))):
-        return entry[0].copy()
-    return entry
+    new_minus = [batched_inverse(xi_m[a]) @ c.minus[a - 1] @ xi_m[a - 1] for a in range(1, p)]
+    new_plus = [batched_inverse(xi_p[a - 1]) @ c.plus[a - 1] @ xi_p[a] for a in range(1, p)]
+    return GridField(spec, new_betas), make_c_blocks(system, new_minus, new_plus, tol=1e-10)
 
 
 def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: GridSpec) -> GridField:
@@ -574,7 +545,6 @@ def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: Grid
     fm, dfm = f_minus
     fp, dfp = f_plus
     levels = canonical_block_operator(system.blocks).levels
-    level = system.level
 
     def composed(zm, zp):
         dm = dfm(zm)
@@ -584,7 +554,7 @@ def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: Grid
         if dp <= 0:
             raise DomainError(f"dF^+ must be positive; got {dp} at {zp}")
         values = closure(fm(zm), fp(zp))
-        return [(dp * dm) ** (-float(levels[a]) / level) * np.asarray(values[a], dtype=complex)
+        return [(dp * dm) ** -float(levels[a]) * np.asarray(values[a], dtype=complex)
                 for a in range(system.independent_beta_count)]
 
     return field_from_closure(system, spec, composed)

@@ -31,7 +31,6 @@ def test_build_system_classification():
     system = build_case("C", 2, (1, 2, 1))
     assert system.constraint_set == "C-oddp"
     assert system.independent_beta_count == 2
-    assert system.level == 1
 
 
 def test_build_system_rejects_bad_blocks():
@@ -56,8 +55,10 @@ def test_build_system_rejects_fractional_sizes():
     (0.0, 0.0, 0.1, float("inf"), 5, 5),
     (float("nan"), 0.0, 0.1, 0.1, 5, 5),
     (0.0, 0.0, "0.1", 0.1, 5, 5),
+    (0.0, 0.0, True, 0.1, 5, 5),
+    (0.0, False, 0.1, 0.1, 5, 5),
 ], ids=["fractional-n-minus", "float-n-plus", "nan-h-minus", "inf-h-plus", "nan-z-minus-start",
-        "string-h-minus"])
+        "string-h-minus", "bool-h-minus", "bool-z-plus-start"])
 def test_grid_spec_rejects_non_integer_counts_and_non_finite_spacing(args):
     with pytest.raises(ValueError):
         tk.GridSpec(*args)
@@ -387,6 +388,27 @@ def test_gauge_rejects_offmanifold_central(rng):
     bad_central = np.eye(3) * 2.0
     with pytest.raises(ConstraintError):
         tk.gauge_transform(system, field, c, [np.eye(1), bad_central], [np.eye(1), np.eye(3)])
+
+
+def test_gauge_couplings_are_constant_exactly_where_the_factors_are():
+    spec = tk.GridSpec(0.0, 2.0, 0.25, 0.25, 5, 5)
+    lv = liouville_field(spec)
+    lam = np.array([[2.5]])
+    flat = np.broadcast_to(lam, (5, 1, 1))  # a line whose samples are all equal
+    _, c_const = tk.gauge_transform(lv.system, lv.field, lv.c, [lam, 1 / lam], [lam, 1 / lam])
+    assert c_const.minus[0].shape == c_const.plus[0].shape == (1, 1)
+    _, c_line = tk.gauge_transform(lv.system, lv.field, lv.c, [flat, 1 / flat], [lam, 1 / lam])
+    assert c_line.minus[0].shape == (5, 1, 1) and c_line.plus[0].shape == (1, 1)
+    assert np.array_equal(c_line.minus[0], np.broadcast_to(c_const.minus[0], (5, 1, 1)))
+    _, c_line = tk.gauge_transform(lv.system, lv.field, lv.c, [lam, 1 / lam], [flat, 1 / flat])
+    assert c_line.minus[0].shape == (1, 1) and c_line.plus[0].shape == (5, 1, 1)
+
+
+def test_gauge_rejects_a_line_of_the_wrong_length():
+    lv = liouville_field(tk.GridSpec(0.0, 2.0, 0.25, 0.25, 5, 7))
+    line = np.ones((7, 1, 1))
+    with pytest.raises(tk.ShapeError):
+        tk.gauge_transform(lv.system, lv.field, lv.c, [line, line], [np.eye(1), np.eye(1)])
 
 
 @pytest.mark.parametrize("minus, plus", [(3, 2), (2, 3), (1, 2)])
