@@ -153,12 +153,17 @@ def _int_list(doc: dict, key: str, what: str) -> list[int]:
     return values
 
 
-def _block_list(doc: dict, key: str, count: int, what: str) -> list:
-    """``doc[key]`` checked to be a list of ``count`` per-block entries."""
+def _arrays(doc: dict, key: str, shapes, what: str, counts=None) -> list[np.ndarray]:
+    """``doc[key]``: a list of stored arrays, read back with ``shapes``.
+
+    It holds ``len(shapes)`` entries, or any number in ``counts`` (taking the
+    first shapes).
+    """
     raw = _typed(doc, key, list, what)
-    if len(raw) != count:
-        raise ValueError(f"{what}: {key} must list {count} blocks, got {len(raw)}")
-    return raw
+    counts = sorted(counts or {len(shapes)})
+    if len(raw) not in counts:
+        raise ValueError(f"{what}: {key} must list {' or '.join(map(str, counts))} blocks, got {len(raw)}")
+    return [json_to_matrix(entry, shape, f"{key}[{a}]") for a, (entry, shape) in enumerate(zip(raw, shapes))]
 
 
 # GridSpec fields as stored in the "grid" object of grid and boundary documents
@@ -217,20 +222,10 @@ def system_from_document(doc: dict) -> tuple[TodaSystem, CBlocks]:
     tag = SeriesTag(_typed(doc, "series", str, what), _typed(doc, "rank", int, what))
     system = build_system(tag, _int_list(doc, "blocks", what))
     p = system.blocks.count
-
-    def family(key: str, sign: str):
-        raw = _typed(doc, key, list, what)
-        if len(raw) not in (p - 1, system.independent_c_count):
-            raise ValueError(
-                f"{key}: expected {system.independent_c_count} or {p - 1} blocks, got {len(raw)}"
-            )
-        return [
-            json_to_matrix(entry, _shape_of_c(system, sign, a), f"{key}[{a - 1}]")
-            for a, entry in enumerate(raw, start=1)
-        ]
-
-    c = make_c_blocks(system, family("c_minus", "-"), family("c_plus", "+"))
-    return system, c
+    counts = {system.independent_c_count, p - 1}
+    minus, plus = (_arrays(doc, key, [_shape_of_c(system, sign, a) for a in range(1, p)], what, counts)
+                   for key, sign in (("c_minus", "-"), ("c_plus", "+")))
+    return system, make_c_blocks(system, minus, plus)
 
 
 def grid_to_document(system: TodaSystem, field: GridField) -> dict:
@@ -243,16 +238,11 @@ def grid_to_document(system: TodaSystem, field: GridField) -> dict:
 def grid_from_document(doc: dict, system: TodaSystem) -> GridField:
     what = "toda-grid"
     spec = _checked_header(doc, what, system)
-    sizes = system.blocks.sizes
     count = system.independent_beta_count
     if _int_list(doc, "block_index", what) != list(range(1, count + 1)):
         raise ValueError(f"{what}: block_index must list 1..{count}")
-    raw = _block_list(doc, "betas", count, what)
-    betas = [
-        json_to_matrix(entry, (spec.n_minus, spec.n_plus, sizes[a], sizes[a]), f"betas[{a}]")
-        for a, entry in enumerate(raw)
-    ]
-    return GridField(spec, tuple(betas))
+    shapes = [(spec.n_minus, spec.n_plus, k, k) for k in system.blocks.sizes[:count]]
+    return GridField(spec, tuple(_arrays(doc, "betas", shapes, what)))
 
 
 def boundary_to_document(system: TodaSystem, data: CharacteristicData) -> dict:
@@ -265,21 +255,18 @@ def boundary_to_document(system: TodaSystem, data: CharacteristicData) -> dict:
 def boundary_from_document(doc: dict, system: TodaSystem) -> CharacteristicData:
     what = "toda-boundary"
     spec = _checked_header(doc, what, system)
-    sizes = system.blocks.sizes
-    count = system.independent_beta_count
-    raw_left = _block_list(doc, "left", count, what)
-    raw_bottom = _block_list(doc, "bottom", count, what)
-    left, bottom = [], []
-    for a in range(count):
-        k = sizes[a]
-        left.append(json_to_matrix(raw_left[a], (spec.n_minus, k, k), f"left[{a}]"))
-        bottom.append(json_to_matrix(raw_bottom[a], (spec.n_plus, k, k), f"bottom[{a}]"))
+    sizes = system.blocks.sizes[:system.independent_beta_count]
+    left, bottom = (_arrays(doc, key, [(n, k, k) for k in sizes], what)
+                    for key, n in (("left", spec.n_minus), ("bottom", spec.n_plus)))
     return CharacteristicData(spec, tuple(left), tuple(bottom))
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     return doc

@@ -10,14 +10,13 @@ block-diagonal subgroup type, Toda systems downstream).
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .cartan import cartan_matrix
-from .liealg import SeriesTag, algebra_basis_with_positions, cartan_generators
+from .liealg import SeriesTag, _integers, algebra_basis_with_positions, cartan_generators
 
 __all__ = [
     "GradationError",
@@ -47,13 +46,6 @@ def _check_tag(tag):
         raise GradationError(f"tag must be a SeriesTag, got {type(tag).__name__}")
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(operator.index(v) for v in values)
-    except TypeError:
-        raise GradationError(f"{what} must be integers, got {values!r}") from None
-
-
 @dataclass(frozen=True)
 class DynkinLabels:
     """Nonnegative integer labels selecting a gradation; not all zero."""
@@ -63,7 +55,7 @@ class DynkinLabels:
 
     def __post_init__(self):
         _check_tag(self.tag)
-        object.__setattr__(self, "labels", _integers(self.labels, "labels"))
+        object.__setattr__(self, "labels", _integers(self.labels, "labels", GradationError))
         if len(self.labels) != self.tag.rank:
             raise GradationError(
                 f"expected {self.tag.rank} labels, got {len(self.labels)}"
@@ -96,8 +88,8 @@ class BlockStructure:
 
     def __post_init__(self):
         _check_tag(self.tag)
-        object.__setattr__(self, "sizes", _integers(self.sizes, "block sizes"))
-        object.__setattr__(self, "steps", _integers(self.steps, "steps"))
+        object.__setattr__(self, "sizes", _integers(self.sizes, "block sizes", GradationError))
+        object.__setattr__(self, "steps", _integers(self.steps, "steps", GradationError))
         p = len(self.sizes)
         if p < 2:
             raise GradationError("a gradation needs at least two blocks")

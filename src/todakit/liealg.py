@@ -23,6 +23,20 @@ from .exact import ShapeError
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 
 
+def _integers(values, what: str, error: type[ValueError] = ValueError) -> tuple[int, ...]:
+    """The iterable ``values`` as a tuple of ints, or ``error`` naming ``what``.
+
+    The one check of a caller's integers: anything with ``__index__`` but a bool.
+    """
+    try:
+        items = tuple(values)
+        if not any(isinstance(v, bool) for v in items):
+            return tuple(map(operator.index, items))
+    except TypeError:
+        pass
+    raise error(f"{what} must be integers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class SeriesTag:
     """One of the four classical series at a given rank."""
@@ -33,12 +47,8 @@ class SeriesTag:
     def __post_init__(self):
         if not isinstance(self.series, str) or self.series not in _MIN_RANK:
             raise ValueError(f"unknown series {self.series!r}; expected A, B, C or D")
-        try:
-            if isinstance(self.rank, bool):
-                raise TypeError
-            object.__setattr__(self, "rank", operator.index(self.rank))
-        except TypeError:
-            raise ValueError(f"rank must be an integer, got {self.rank!r}") from None
+        (rank,) = _integers((self.rank,), "rank")
+        object.__setattr__(self, "rank", rank)
         if self.rank < _MIN_RANK[self.series]:
             raise ValueError(
                 f"series {self.series} requires rank >= {_MIN_RANK[self.series]}, got {self.rank}"

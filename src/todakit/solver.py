@@ -451,15 +451,19 @@ def convergence_study(system: TodaSystem, make_case, specs, exact=None) -> Conve
     ``make_case(spec)`` returns (CharacteristicData, CBlocks) for each grid;
     ``exact(z_minus, z_plus)`` returns the independent block values of the
     reference solution.  Without a reference, each grid is measured against
-    the next finer one restricted to it (the grids nest), so an error C h^p
-    reads (1 - 2^-p) C h^p on every row and the fitted order is unbiased.
+    the next finer one restricted to it, so an error C h^p reads
+    (1 - 2^-p) C h^p on every row and the fitted order is unbiased.  The
+    grids must nest: the even-numbered coordinates of each grid are those of
+    the previous one.
     """
     specs = list(specs)
     if len(specs) < 3:
         raise ValueError("need at least three grids")
     for a, b in zip(specs, specs[1:]):
-        if b.n_minus - 1 != 2 * (a.n_minus - 1) or b.n_plus - 1 != 2 * (a.n_plus - 1):
-            raise ValueError("each grid must refine the previous one by a factor of 2")
+        for coarse, fine, h in ((a.z_minus, b.z_minus, a.h_minus), (a.z_plus, b.z_plus, a.h_plus)):
+            if len(fine) - 1 != 2 * (len(coarse) - 1) or np.max(np.abs(fine[::2] - coarse)) > 1e-9 * h:
+                raise ValueError("each grid must refine the previous one by a factor of 2: "
+                                 "the same origin and half the spacing")
     results = []
     for spec in specs:
         data, c = make_case(spec)

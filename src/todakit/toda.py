@@ -9,22 +9,22 @@ evaluated with centered second-order differences on the grid interior.
 A coupling entry is one constant block or one sample per line of its
 chirality; ``_c_samples`` is the one place that tells the two apart.
 Block lists from a caller (couplings, diagonal blocks, gauge factors,
-boundary lines) are coerced and checked in ``_block_arrays`` only.
+boundary lines, the samples of a closure and the blocks of a ``GridField``)
+are coerced and checked in ``_block_arrays`` only.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
 from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
 from .exact import ShapeError
-from .grading import BlockStructure, _integers, canonical_block_operator
-from .liealg import SeriesTag, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
+from .grading import BlockStructure, GradationError, canonical_block_operator
+from .liealg import SeriesTag, _integers, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
 
 __all__ = [
     "ConstraintError",
@@ -100,7 +100,7 @@ class TodaSystem:
 
 def build_system(tag: SeriesTag, sizes) -> TodaSystem:
     """Validate block sizes for the series and wrap them in a TodaSystem."""
-    sizes = _integers(sizes, "block sizes")
+    sizes = _integers(sizes, "block sizes", GradationError)
     return TodaSystem(BlockStructure(tag, sizes, (1,) * (len(sizes) - 1)))
 
 
@@ -133,7 +133,9 @@ def _block_arrays(values, shapes, what: str, leads, counts=None) -> list[np.ndar
         fits = leads is None or any(len(want) == len(lead) and all(w in (None, n) for w, n in zip(want, lead))
                                     for want in leads)
         if arr.shape[len(lead):] != block or not fits:
-            raise ShapeError(f"{what} {a} has shape {arr.shape}; its block shape is {block}")
+            axes = "" if leads is None else " under leading axes " + " or ".join(
+                "(" + ", ".join("n" if w is None else str(w) for w in want) + ")" for want in leads)
+            raise ShapeError(f"{what} {a} has shape {arr.shape}; expected a {block} block{axes}")
         arr = arr.astype(complex, copy=False)
         if not np.isfinite(arr).all():
             raise ValueError(f"{what} {a} holds a non-finite entry")
@@ -327,11 +329,9 @@ class GridSpec:
     n_plus: int
 
     def __post_init__(self):
-        for name in ("n_minus", "n_plus"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+        n_minus, n_plus = _integers((self.n_minus, self.n_plus), "n_minus and n_plus")
+        object.__setattr__(self, "n_minus", n_minus)
+        object.__setattr__(self, "n_plus", n_plus)
         if self.n_minus < 3 or self.n_plus < 3:
             raise ValueError("need at least 3 samples per direction for the interior stencil")
         coords = (self.z_minus_start, self.z_plus_start, self.h_minus, self.h_plus)
@@ -357,21 +357,30 @@ class GridField:
     spec: GridSpec
     betas: tuple[np.ndarray, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.spec, GridSpec):
+            raise ValueError(f"spec must be a GridSpec, got {type(self.spec).__name__}")
+        betas = _block_arrays(self.betas, None, "GridField beta", ((self.spec.n_minus, self.spec.n_plus),))
+        object.__setattr__(self, "betas", tuple(betas))
+
 
 def _sample_closure(system: TodaSystem, closure, z_minus, z_plus) -> tuple[np.ndarray, ...]:
     """Independent blocks of ``closure(z_minus, z_plus)`` at broadcast coordinate pairs.
 
-    The closure is called once per pair, in row-major order of the broadcast shape.
+    The closure is called once per pair, in row-major order of the broadcast
+    shape, and returns a list of the independent blocks at that pair.
     """
     zm, zp = np.broadcast_arrays(z_minus, z_plus)
-    sizes = system.blocks.sizes
-    arrays = [np.empty(zm.shape + (sizes[a], sizes[a]), dtype=complex)
-              for a in range(system.independent_beta_count)]
+    count = system.independent_beta_count
+    samples = [[] for _ in range(count)]  # per block, its value at each pair
     for index in np.ndindex(zm.shape):
         values = closure(zm[index], zp[index])
-        for a, array in enumerate(arrays):
-            array[index] = values[a]
-    return tuple(arrays)
+        if not isinstance(values, (list, tuple)) or len(values) != count:
+            raise ShapeError(f"closure must return a list of {count} blocks, got {values!r}")
+        for sample, value in zip(samples, values):
+            sample.append(value)
+    stacks = _block_arrays(samples, [(k, k) for k in system.blocks.sizes[:count]], "closure block", ((zm.size,),))
+    return tuple(stack.reshape(zm.shape + stack.shape[1:]) for stack in stacks)
 
 
 def field_from_closure(system: TodaSystem, spec: GridSpec, closure) -> GridField:
@@ -538,23 +547,19 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
 def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: GridSpec) -> GridField:
     """Reparametrize by (F^-, F^+) and compensate with the grading weights.
 
-    ``f_minus`` and ``f_plus`` are (F, dF) pairs of callables with dF > 0 on
-    the grid, and ``closure(z_minus, z_plus)`` returns the independent block
-    values.  The new field is sampled on ``spec``.
+    ``f_minus`` and ``f_plus`` are (F, dF) pairs of callables, each called
+    once on the grid line of its coordinate (a 1-D array; a constant may come
+    back as a scalar), with dF > 0 on the grid; ``closure(z_minus, z_plus)``
+    returns the independent block values.  The new field is sampled on ``spec``.
     """
-    fm, dfm = f_minus
-    fp, dfp = f_plus
+    lines = []
+    for sign, (f, df), z in (("-", f_minus, spec.z_minus), ("+", f_plus, spec.z_plus)):
+        d = np.broadcast_to(df(z), z.shape)
+        if not np.all(d > 0):
+            raise DomainError(f"dF^{sign} must be positive on the grid; its least value is {np.min(d)}")
+        lines.append((np.broadcast_to(f(z), z.shape), d))
+    (fm, dm), (fp, dp) = lines
+    betas = _sample_closure(system, closure, fm[:, None], fp[None, :])
+    weight = np.multiply.outer(dm, dp)[..., None, None]
     levels = canonical_block_operator(system.blocks).levels
-
-    def composed(zm, zp):
-        dm = dfm(zm)
-        if dm <= 0:
-            raise DomainError(f"dF^- must be positive; got {dm} at {zm}")
-        dp = dfp(zp)
-        if dp <= 0:
-            raise DomainError(f"dF^+ must be positive; got {dp} at {zp}")
-        values = closure(fm(zm), fp(zp))
-        return [(dp * dm) ** -float(levels[a]) * np.asarray(values[a], dtype=complex)
-                for a in range(system.independent_beta_count)]
-
-    return field_from_closure(system, spec, composed)
+    return GridField(spec, tuple(weight ** -float(level) * beta for level, beta in zip(levels, betas)))

@@ -301,6 +301,14 @@ def test_malformed_system_is_invalid_input(tmp_path, capsys, key, value):
     _one_input_error(capsys)
 
 
+def test_deeply_nested_document_is_invalid_input(tmp_path, capsys):
+    # json.load raises RecursionError on this document, not a ValueError
+    system_file = tmp_path / "deep.json"
+    system_file.write_text("[" * 200000 + "]" * 200000)
+    assert main(["equations", "--system", str(system_file)]) == 2
+    assert "nested too deeply" in _one_input_error(capsys)
+
+
 @pytest.mark.parametrize("key, value", [("h_minus", None), ("n_minus", [9]), ("n_minus", 9.5)])
 def test_malformed_boundary_grid_is_invalid_input(tmp_path, capsys, key, value):
     doc = json.loads((GOLDEN / "boundary_liouville_9x9.json").read_text())

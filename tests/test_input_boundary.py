@@ -2,9 +2,11 @@
 
 Each public constructor and entry point that takes caller values is called
 with one argument replaced by a malformed value (a wrong type, a
-non-integral or non-finite number, a block of the wrong shape or a block
-list of the wrong length), and must raise a ``ValueError`` subclass: never
-a ``TypeError``, an ``AttributeError`` or a silent truncation.
+non-integral or non-finite number, a bool where an integer belongs, a block
+of the wrong shape or a block list of the wrong length, or a closure that
+returns one), and must raise a ``ValueError`` subclass: never a
+``TypeError``, an ``AttributeError``, an ``IndexError``, a silent NaN or a
+silent truncation.
 """
 
 import numpy as np
@@ -14,7 +16,14 @@ from hypothesis import strategies as st
 
 import todakit as tk
 from todakit.grading import BlockStructure, DynkinLabels, GradationError
-from todakit.solver import CharacteristicData, liouville_boundary, liouville_field, march
+from todakit.solver import (
+    CharacteristicData,
+    liouville_boundary,
+    liouville_closure,
+    liouville_field,
+    liouville_system,
+    march,
+)
 
 from conftest import build_case
 
@@ -29,11 +38,11 @@ OTHER_C = tk.make_c_blocks(OTHER, [np.zeros((2, 1))], [np.zeros((1, 2))])
 junk = st.one_of(st.none(), st.just(object()), st.text(max_size=3),
                  st.dictionaries(st.text(max_size=1), st.integers(), max_size=1))
 non_finite = st.sampled_from([float("nan"), float("inf"), float("-inf")])
-# not an integer: bools are kept out, since operator.index accepts them as 0 and 1
 non_integral = st.one_of(st.floats(), st.complex_numbers(), st.none(), st.text(max_size=2),
-                         st.lists(st.integers(), max_size=2))
+                         st.lists(st.integers(), max_size=2), st.booleans())
 bad_ints = st.one_of(st.none(), st.integers(), st.just(object()),
-                     st.tuples(st.integers(1, 2), non_integral))
+                     st.tuples(st.integers(1, 2), non_integral),
+                     st.lists(st.booleans(), min_size=1, max_size=2).map(tuple))
 bad_real = st.one_of(non_finite, st.booleans(), st.complex_numbers(), st.none(),
                      st.text(max_size=3), st.lists(st.floats(), max_size=2))
 bad_tag = st.one_of(junk, st.sampled_from("ABCD"), st.tuples(st.sampled_from("ABCD"), st.integers(1, 3)))
@@ -78,11 +87,23 @@ def _grid_spec(i):
     return lambda v: tk.GridSpec(*GRID[:i], v, *GRID[i + 1:])
 
 
+def _returns(values):
+    return lambda zm, zp: values
+
+
+def _grid_betas(shape):
+    return tk.field_from_closure(LIOUVILLE.system, tk.GridSpec(0.0, 2.0, 0.25, 0.25, *shape),
+                                 liouville_closure()).betas
+
+
+POINT = liouville_closure()(0.0, 2.0)  # the two Liouville blocks at one point
+
+
 CALLS = {
     "SeriesTag.series": (st.one_of(junk.filter(lambda v: v not in ("A", "B", "C", "D")),
                                    st.integers(), st.lists(st.sampled_from("ABCD"), min_size=1)),
                          lambda v: tk.SeriesTag(v, 1)),
-    "SeriesTag.rank": (st.one_of(non_integral, st.booleans(), st.integers(max_value=0)),
+    "SeriesTag.rank": (st.one_of(non_integral, st.integers(max_value=0)),
                        lambda v: tk.SeriesTag("A", v)),
     "DynkinLabels.tag": (bad_tag, lambda v: DynkinLabels(v, (1,))),
     "DynkinLabels.labels": (bad_ints, lambda v: DynkinLabels(TAG, v)),
@@ -98,6 +119,15 @@ CALLS = {
                             lambda v: tk.make_c_blocks(LIOUVILLE.system, v, [[[1.0]]])),
     "make_c_blocks.plus": (bad_family([[[1.0]]], _coupling_shape),
                            lambda v: tk.make_c_blocks(LIOUVILLE.system, [[[-1.0]]], v)),
+    "field_from_closure.closure": (bad_family(POINT, lambda shape: shape == (1, 1)).map(_returns),
+                                   lambda v: tk.field_from_closure(LIOUVILLE.system, SPEC, v)),
+    "GridField.spec": (st.one_of(junk, st.just(GRID)), lambda v: tk.GridField(v, LIOUVILLE.field.betas)),
+    "GridField.betas": (st.one_of(
+        junk, st.integers(), st.floats(),
+        st.sampled_from([(3, 3), (5, 4), (4, 5), (7, 7)]).map(_grid_betas),
+        bad_entry(LIOUVILLE.field.betas[-1], lambda shape: False).map(
+            lambda b: [LIOUVILLE.field.betas[0], b])),
+        lambda v: tk.GridField(SPEC, v)),
     "CharacteristicData.spec": (st.one_of(junk, st.just(GRID)),
                                 lambda v: CharacteristicData(v, DATA.left, DATA.bottom)),
     "CharacteristicData.left": (bad_family(DATA.left, _line_shape),
@@ -144,3 +174,22 @@ def test_characteristic_data_takes_nested_lists():
     result = march(LIOUVILLE.system, LIOUVILLE.c, lists)
     expected = march(LIOUVILLE.system, LIOUVILLE.c, DATA)
     assert all(np.array_equal(a, b) for a, b in zip(result.field.betas, expected.field.betas))
+
+
+def test_a_bool_is_not_an_integer():
+    with pytest.raises(GradationError):
+        DynkinLabels(TAG, (True,))
+    with pytest.raises(GradationError):
+        tk.build_system(TAG, (True, True))
+
+
+@pytest.mark.parametrize("values", [[None, None], [np.eye(1)]], ids=["none-blocks", "one-block"])
+def test_closure_output_is_checked(values):
+    with pytest.raises(tk.ShapeError):
+        tk.field_from_closure(liouville_system(), SPEC, _returns(values))
+
+
+def test_field_on_another_grid_is_rejected_when_built():
+    betas = _grid_betas((3, 3))
+    with pytest.raises(tk.ShapeError, match=r"GridField beta 1 has shape \(3, 3, 1, 1\).*\(5, 5\)"):
+        tk.GridField(SPEC, betas)

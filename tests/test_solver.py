@@ -302,6 +302,14 @@ def test_convergence_study_guards():
         convergence_study(system, make_case, [_liouville_spec(17)] * 2)
     with pytest.raises(ValueError):
         convergence_study(system, make_case, [_liouville_spec(17)] * 3)
+    # sample counts that double, on grids that do not nest
+    unrelated = [tk.GridSpec(0.01 * i, 2.0 + 0.03 * i, 0.1 / 1.7 ** i, 0.1 / 1.3 ** i,
+                             4 * 2 ** i + 1, 4 * 2 ** i + 1) for i in range(3)]
+    shifted = [_liouville_spec(9), _liouville_spec(17, z0=2.5), _liouville_spec(33, z0=2.5)]
+    stretched = [_liouville_spec(9), tk.GridSpec(0.0, 2.0, 1 / 16, 1 / 12, 17, 17), _liouville_spec(33)]
+    for specs in (unrelated, shifted, stretched):
+        with pytest.raises(ValueError, match="refine"):
+            convergence_study(system, make_case, specs)
 
 
 def test_march_with_chiral_couplings_from_gauge():
