@@ -10,7 +10,8 @@ A coupling entry is one constant block or one sample per line of its
 chirality; ``_c_samples`` is the one place that tells the two apart.
 Block lists from a caller (couplings, diagonal blocks, gauge factors,
 boundary lines, the samples of a closure and the blocks of a ``GridField``)
-are coerced and checked in ``_block_arrays`` only.
+are coerced and checked in ``_block_arrays`` only, and completed blocks and
+their inverses come from ``_completed`` only.
 """
 
 from __future__ import annotations
@@ -292,24 +293,27 @@ def central_defect(system: TodaSystem, central: np.ndarray) -> float:
     return _max_abs(form_defect(form, central))
 
 
-def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -> list[np.ndarray]:
-    """All p diagonal blocks from the independent ones (batched arrays allowed)."""
+def _completed(system: TodaSystem, values, check_tol: float | None) -> tuple[list, list]:
+    """All p diagonal blocks and their inverses, from one batched inverse per
+    checked independent block: a mirrored block (beta_a^T)^{-1} is the twisted
+    transpose of beta_a^{-1}, and its inverse that of beta_a (views).  With
+    ``check_tol`` the central block's self-constraint is checked first."""
     p = system.blocks.count
-    want = system.independent_beta_count
-    values = _block_arrays(betas, [(k, k) for k in system.blocks.sizes[:want]], "independent block",
-                           leads=None)
-    if system.tag.series == "A":
-        return values
-    if p % 2 == 1 and check_tol is not None:
+    series_a = system.tag.series == "A"
+    if not series_a and p % 2 == 1 and check_tol is not None:
         defect = central_defect(system, values[-1])
         if defect > check_tol:
-            raise ConstraintError(
-                f"central block violates its self-constraint (defect {defect:.3e})"
-            )
-    full = values + [None] * (p - want)
-    for a in range(1, p // 2 + 1):
-        full[p - a] = batched_inverse(t_transpose(values[a - 1]))
-    return full
+            raise ConstraintError(f"central block violates its self-constraint (defect {defect:.3e})")
+    inverses = [batched_inverse(v) for v in values]
+    mirrored = [] if series_a else range(p // 2 - 1, -1, -1)
+    return ([*values, *(t_transpose(inverses[a]) for a in mirrored)],
+            [*inverses, *(t_transpose(values[a]) for a in mirrored)])
+
+
+def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -> list[np.ndarray]:
+    """All p diagonal blocks from the independent ones (batched arrays allowed)."""
+    shapes = [(k, k) for k in system.blocks.sizes[:system.independent_beta_count]]
+    return _completed(system, _block_arrays(betas, shapes, "independent block", leads=None), check_tol)[0]
 
 
 def assemble_gamma(system: TodaSystem, betas) -> np.ndarray:
@@ -388,12 +392,6 @@ def field_from_closure(system: TodaSystem, spec: GridSpec, closure) -> GridField
     return GridField(spec, _sample_closure(system, closure, spec.z_minus[:, None], spec.z_plus[None, :]))
 
 
-def _gamma_and_inverse(system, field):
-    """Assemble gamma and its blockwise inverse over the grid."""
-    full = complete_betas(system, field.betas, check_tol=None)
-    return _place_blocks(system, full, 0), _place_blocks(system, [batched_inverse(b) for b in full], 0)
-
-
 # ---------------------------------------------------------------------------
 # residual reports
 
@@ -451,7 +449,7 @@ def _interior_dplus(u: np.ndarray, h_plus: float) -> np.ndarray:
 def _connection_parts(system: TodaSystem, field: GridField, c: CBlocks):
     """gamma^{-1} d_- gamma, the C_- lines and gamma^{-1} c_+ gamma over the grid."""
     spec = field.spec
-    gamma, gamma_inv = _gamma_and_inverse(system, field)
+    gamma, gamma_inv = (_place_blocks(system, blocks, 0) for blocks in _completed(system, field.betas, None))
     cm = _c_lines(system, c, "-", spec.n_minus)
     cp = _c_lines(system, c, "+", spec.n_plus)
     return _log_derivative(gamma, gamma_inv, spec.h_minus), cm, gamma_inv @ cp[None, :] @ gamma
@@ -479,7 +477,7 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     """Residuals of the independent block equations (folded boundary forms)."""
     spec = field.spec
     betas = field.betas
-    inverses = [batched_inverse(b) for b in betas]
+    inverses = _completed(system, betas, None)[1]
 
     def get_beta(a):
         return betas[a - 1][1:-1, 1:-1]
@@ -534,14 +532,33 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
     """
     spec = field.spec
     shapes = [(k, k) for k in system.blocks.sizes[:system.independent_beta_count]]
-    xi_m = complete_betas(system, _block_arrays(xi_minus, shapes, "xi_minus block", ((), (spec.n_minus,))))
-    xi_p = complete_betas(system, _block_arrays(xi_plus, shapes, "xi_plus block", ((), (spec.n_plus,))))
-    new_betas = tuple(batched_inverse(xp) @ beta @ xm[..., None, :, :]
-                      for beta, xm, xp in zip(field.betas, xi_m, xi_p))
+    (xi_m, xi_m_inv), (xi_p, xi_p_inv) = (
+        _completed(system, _block_arrays(xi, shapes, f"{name} block", ((), (n,))), 1e-10)
+        for xi, name, n in ((xi_minus, "xi_minus", spec.n_minus), (xi_plus, "xi_plus", spec.n_plus)))
+    new_betas = tuple(xp_inv @ beta @ xm[..., None, :, :]
+                      for beta, xm, xp_inv in zip(field.betas, xi_m, xi_p_inv))
     p = system.blocks.count
-    new_minus = [batched_inverse(xi_m[a]) @ c.minus[a - 1] @ xi_m[a - 1] for a in range(1, p)]
-    new_plus = [batched_inverse(xi_p[a - 1]) @ c.plus[a - 1] @ xi_p[a] for a in range(1, p)]
+    new_minus = [xi_m_inv[a] @ c.minus[a - 1] @ xi_m[a - 1] for a in range(1, p)]
+    new_plus = [xi_p_inv[a - 1] @ c.plus[a - 1] @ xi_p[a] for a in range(1, p)]
     return GridField(spec, new_betas), make_c_blocks(system, new_minus, new_plus, tol=1e-10)
+
+
+def _line_values(values, z: np.ndarray, what: str) -> np.ndarray:
+    """What F or dF returned on the grid line ``z``, checked: finite real
+    numbers, one per sample or one for the whole line."""
+    try:
+        arr = np.asarray(values)
+    except (TypeError, ValueError):  # ragged nesting, say
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must return real numbers, got {type(values).__name__}")
+    try:
+        arr = np.broadcast_to(arr, z.shape)
+    except ValueError:
+        raise ShapeError(f"{what} returned shape {arr.shape}; expected {z.shape} or a scalar") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} returned a non-finite value")
+    return arr
 
 
 def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: GridSpec) -> GridField:
@@ -549,15 +566,19 @@ def conformal_transform(system: TodaSystem, closure, f_minus, f_plus, spec: Grid
 
     ``f_minus`` and ``f_plus`` are (F, dF) pairs of callables, each called
     once on the grid line of its coordinate (a 1-D array; a constant may come
-    back as a scalar), with dF > 0 on the grid; ``closure(z_minus, z_plus)``
-    returns the independent block values.  The new field is sampled on ``spec``.
+    back as a scalar) and returning finite real numbers, with dF > 0 on the
+    grid; ``closure(z_minus, z_plus)`` returns the independent block values.
+    The new field is sampled on ``spec``.
     """
     lines = []
-    for sign, (f, df), z in (("-", f_minus, spec.z_minus), ("+", f_plus, spec.z_plus)):
-        d = np.broadcast_to(df(z), z.shape)
+    for sign, name, pair, z in (("-", "f_minus", f_minus, spec.z_minus), ("+", "f_plus", f_plus, spec.z_plus)):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(callable, pair))):
+            raise ValueError(f"{name} must be an (F, dF) pair of callables, got {type(pair).__name__}")
+        f, df = pair
+        d = _line_values(df(z), z, f"dF^{sign}")
         if not np.all(d > 0):
             raise DomainError(f"dF^{sign} must be positive on the grid; its least value is {np.min(d)}")
-        lines.append((np.broadcast_to(f(z), z.shape), d))
+        lines.append((_line_values(f(z), z, f"F^{sign}"), d))
     (fm, dm), (fp, dp) = lines
     betas = _sample_closure(system, closure, fm[:, None], fp[None, :])
     weight = np.multiply.outer(dm, dp)[..., None, None]

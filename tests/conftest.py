@@ -26,6 +26,35 @@ def build_case(series: str, rank: int, sizes) -> tk.TodaSystem:
     return tk.build_system(tk.SeriesTag(series, rank), sizes)
 
 
+DIMENSION = {"A": lambda r: r + 1, "B": lambda r: 2 * r + 1, "C": lambda r: 2 * r, "D": lambda r: 2 * r}
+
+
+def _compositions(n: int):
+    """Every ordered partition of n into positive parts."""
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
+
+
+def unit_step_cases(max_rank: int) -> list[tuple]:
+    """Every (series, rank, sizes) with rank <= ``max_rank`` that ``build_system``
+    accepts: any block partition for series A, a palindromic one for B, C and D."""
+    cases = []
+    for series, dim in DIMENSION.items():
+        for rank in range(1, max_rank + 1):
+            for sizes in _compositions(dim(rank)):
+                if series != "A" and sizes != sizes[::-1]:
+                    continue
+                try:
+                    build_case(series, rank, sizes)
+                except ValueError:
+                    continue
+                cases.append((series, rank, sizes))
+    return cases
+
+
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 

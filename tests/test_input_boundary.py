@@ -97,6 +97,23 @@ def _grid_betas(shape):
 
 
 POINT = liouville_closure()(0.0, 2.0)  # the two Liouville blocks at one point
+IDENTITY = (lambda z: z, lambda z: 1.0)  # the (F, dF) pair of the identity map
+
+
+def _pair_returning(value, which):
+    """The identity pair with its F (``which`` 0) or dF (1) returning ``value``."""
+    pair = list(IDENTITY)
+    pair[which] = lambda z: value
+    return tuple(pair)
+
+
+# a value that is not an (F, dF) pair of callables, or a pair whose F or dF
+# returns something other than finite reals that broadcast to a 5-sample line
+bad_return = st.one_of(st.none(), st.just(object()), st.text(max_size=3), st.booleans(),
+                       st.complex_numbers(), non_finite,
+                       st.sampled_from([(2,), (3,), (5, 1), (1, 5), (2, 5)]).map(np.ones))
+bad_pair = st.one_of(junk, st.integers(), st.just(IDENTITY[:1]), st.just(IDENTITY * 2),
+                     st.just((IDENTITY[0], 1.0)), st.builds(_pair_returning, bad_return, st.integers(0, 1)))
 
 
 CALLS = {
@@ -134,6 +151,10 @@ CALLS = {
                                 lambda v: CharacteristicData(SPEC, v, DATA.bottom)),
     "CharacteristicData.bottom": (bad_family(DATA.bottom, _line_shape),
                                   lambda v: CharacteristicData(SPEC, DATA.left, v)),
+    "conformal_transform.f_minus": (bad_pair, lambda v: tk.conformal_transform(
+        LIOUVILLE.system, liouville_closure(), v, IDENTITY, SPEC)),
+    "conformal_transform.f_plus": (bad_pair, lambda v: tk.conformal_transform(
+        LIOUVILLE.system, liouville_closure(), IDENTITY, v, SPEC)),
     "march.system": (st.one_of(junk, st.just(OTHER)), lambda v: march(v, LIOUVILLE.c, DATA)),
     "march.c": (st.one_of(junk, st.just(OTHER_C)), lambda v: march(LIOUVILLE.system, v, DATA)),
     "march.data": (st.one_of(junk, st.just(CharacteristicData(SPEC, DATA.left[:1], DATA.bottom[:1]))),

@@ -25,36 +25,10 @@ from conftest import (
     random_complex,
     random_couplings,
     smooth_closure,
+    unit_step_cases,
 )
 
-DIMENSION = {"A": lambda r: r + 1, "B": lambda r: 2 * r + 1, "C": lambda r: 2 * r, "D": lambda r: 2 * r}
-
-
-def _compositions(n: int):
-    """Every ordered partition of n into positive parts."""
-    if n == 0:
-        yield ()
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
-def _cases(max_rank: int = 4) -> list[tuple]:
-    cases = []
-    for series, dim in DIMENSION.items():
-        for rank in range(1, max_rank + 1):
-            for sizes in _compositions(dim(rank)):
-                if series != "A" and sizes != sizes[::-1]:
-                    continue
-                try:
-                    build_case(series, rank, sizes)
-                except ValueError:
-                    continue
-                cases.append((series, rank, sizes))
-    return cases
-
-
-CASES = _cases()
+CASES = unit_step_cases(4)
 # B2 (1,1,1,1,1): the 1 x 1 central block shares its size with the other independent blocks
 SHARED_CENTRAL = ("B", 2, (1, 1, 1, 1, 1))
 seeds = st.integers(0, 2**32 - 1)
@@ -130,6 +104,37 @@ def test_constant_gauge_conjugates_the_full_residual(case, seed):
     xi = tk.assemble_gamma(system, xi_minus)
     expected = np.linalg.inv(xi) @ before @ xi
     assert np.max(np.abs(after - expected)) <= 1e-12 * np.max(np.abs(before))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(CASES), seed=seeds)
+@example(case=SHARED_CENTRAL, seed=0)
+def test_line_gauge_factors_and_their_inverses_cancel(case, seed):
+    """Gauging by chiral lines xi_-(z_-), xi_+(z_+) and then by their inverses
+    gives back the field and both coupling families."""
+    system = build_case(*case)
+    rng = np.random.default_rng(seed)
+    spec = tk.GridSpec(0.0, 0.0, 0.11, 0.13, 6, 6)
+    field = tk.field_from_closure(system, spec, smooth_closure(system, rng))
+    c = random_couplings(system, rng)
+    central = system.central_form() is not None
+    count = system.independent_beta_count
+    sizes = system.blocks.sizes
+
+    def lines(z):
+        """Independent factors exp(f(z) X) along z, and their inverses exp(-f(z) X)."""
+        f = (1.0 + 0.5 * np.sin(3.0 * z + rng.uniform(0.0, 2.0 * np.pi)))[:, None, None]
+        gens = [central_generator(system, rng, 0.3) if central and a == count - 1
+                else random_complex(rng, (sizes[a], sizes[a]), 0.3)
+                for a in range(count)]
+        return [expm(f * gen) for gen in gens], [expm(-f * gen) for gen in gens]
+
+    (xi_minus, inv_minus), (xi_plus, inv_plus) = lines(spec.z_minus), lines(spec.z_plus)
+    there = tk.gauge_transform(system, field, c, xi_minus, xi_plus)
+    back_field, back_c = tk.gauge_transform(system, *there, inv_minus, inv_plus)
+    for got, want in ((back_field.betas, field.betas), (back_c.minus, c.minus), (back_c.plus, c.plus)):
+        scale = max(np.max(np.abs(w)) for w in want)
+        assert all(np.max(np.abs(g - w)) <= 1e-12 * scale for g, w in zip(got, want))
 
 
 @st.composite

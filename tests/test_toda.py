@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import todakit as tk
+from todakit import toda
 from todakit.liealg import algebra_membership, group_membership, t_transpose
 from todakit.solver import liouville_field, liouville_system
 from todakit.toda import ConstraintError, central_defect
@@ -378,6 +379,31 @@ def test_gauge_on_constrained_series(rng):
     for a, grid in enumerate(rb.grids):
         scale = max(np.max(np.abs(rf.grids[a])), 1e-30)
         assert np.max(np.abs(grid - rf.grids[a])) <= 1e-12 * scale
+
+
+def test_each_independent_block_is_inverted_once(rng, monkeypatch):
+    """A mirrored block is the twisted transpose of an independent block's
+    inverse, and its inverse that of the block itself: neither is inverted."""
+    system = build_case("D", 4, (1, 3, 3, 1))
+    spec = tk.GridSpec(0.0, 0.0, 0.1, 0.1, 6, 6)
+    field = tk.field_from_closure(system, spec, smooth_closure(system, rng))
+    c = random_couplings(system, rng)
+    calls = []
+
+    def counting(values):
+        calls.append(values.shape)
+        return np.linalg.inv(values)
+
+    monkeypatch.setattr(toda, "batched_inverse", counting)
+    for evaluate in (tk.residual_full, tk.connection, tk.block_residuals):
+        calls.clear()
+        evaluate(system, field, c)
+        assert calls == [beta.shape for beta in field.betas]  # 2 = independent_beta_count
+    factors = [expm(random_complex(rng, (k, k), 0.3)) for k in (1, 3)]
+    lines = [np.broadcast_to(x, (spec.n_minus,) + x.shape) for x in factors]
+    calls.clear()
+    tk.gauge_transform(system, field, c, lines, factors)
+    assert calls == [line.shape for line in lines] + [x.shape for x in factors]
 
 
 def test_gauge_rejects_offmanifold_central(rng):
