@@ -12,6 +12,7 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -433,6 +434,7 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+@functools.cache  # one parser per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="todakit",

@@ -240,9 +240,8 @@ class StationPlan:
     at many stations.
 
     The plan is read off the structured term lists: every distinct factor is
-    resolved once per evaluation, each distinct inverted field is inverted
-    once (``batched_inverse``), the forms are built once here and twists are
-    views.
+    resolved once per evaluation, each distinct inverted field is asked of
+    the caller once, the forms are built once here and twists are views.
     """
 
     def __init__(self, equations):
@@ -260,33 +259,27 @@ class StationPlan:
         self._factors = tuple(slots)
         sources: dict[tuple, int] = {}
         self._source_of = tuple(
-            None if f.base == "form" else sources.setdefault((f.base, f.sign, f.index), len(sources))
+            None if f.base == "form" else sources.setdefault((f.base, f.sign, f.index, f.inverse), len(sources))
             for f in self._factors
         )
         self._sources = tuple(sources)
-        self._inverted = tuple(dict.fromkeys(
-            src for f, src in zip(self._factors, self._source_of) if f.inverse
-        ))
         self._forms = {
             f.index: symplectic_form(f.index).astype(complex)
             for f in self._factors if f.base == "form"
         }
 
-    def evaluate(self, get_beta, get_c) -> list[np.ndarray]:
+    def evaluate(self, get_beta, get_inverse, get_c) -> list[np.ndarray]:
         """Right-hand side of each equation, in order.
 
-        ``get_beta(a)`` and ``get_c(sign, a)`` supply (batched) matrix values
-        for the independent blocks; factor products broadcast over leading axes.
+        ``get_beta(a)``, ``get_inverse(a)`` (the inverse of ``get_beta(a)``) and
+        ``get_c(sign, a)`` supply (batched) matrix values for the independent
+        blocks; factor products broadcast over leading axes.
         """
-        plain = [get_beta(index) if base == "beta" else get_c(sign, index)
-                 for base, sign, index in self._sources]
-        inverse = {src: batched_inverse(plain[src]) for src in self._inverted}
+        resolved = [get_c(sign, index) if base == "c" else get_inverse(index) if inverse else get_beta(index)
+                    for base, sign, index, inverse in self._sources]
         values = []
         for factor, src in zip(self._factors, self._source_of):
-            if src is None:
-                value = self._forms[factor.index]
-            else:
-                value = inverse[src] if factor.inverse else plain[src]
+            value = self._forms[factor.index] if src is None else resolved[src]
             if factor.twist == "T":
                 value = t_transpose(value)
             elif factor.twist == "t":
@@ -310,4 +303,4 @@ def evaluate_rhs(equation: Equation, get_beta, get_c) -> np.ndarray:
     ``get_beta(a)`` and ``get_c(sign, a)`` supply (batched) matrix values for
     the independent blocks; factor products broadcast over leading axes.
     """
-    return StationPlan((equation,)).evaluate(get_beta, get_c)[0]
+    return StationPlan((equation,)).evaluate(get_beta, lambda a: batched_inverse(get_beta(a)), get_c)[0]

@@ -250,7 +250,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
             return entry[j] if sign == "+" else entry
 
         try:
-            return plan.evaluate(lambda a: beta_half[a - 1], get_c)
+            return plan.evaluate(lambda a: beta_half[a - 1], lambda a: batched_inverse(beta_half[a - 1]), get_c)
         except SingularMatrixError as exc:
             raise BlowUpError("singular half-point average at a station", (exc.index[0], j)) from exc
 

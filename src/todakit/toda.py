@@ -25,7 +25,7 @@ import numpy as np
 from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
 from .exact import ShapeError
 from .grading import BlockStructure, GradationError, canonical_block_operator
-from .liealg import SeriesTag, _integers, _max_abs, antidiag_unit, form_defect, invariant_form, t_transpose
+from .liealg import SeriesTag, _integers, _max_abs, form_defect, invariant_form, t_transpose
 
 __all__ = [
     "ConstraintError",
@@ -169,45 +169,31 @@ def _shape_of_c(system: TodaSystem, sign: str, a: int) -> tuple[int, int]:
     return (sizes[a - 1], sizes[a])
 
 
-def _c_relations(system: TodaSystem, sign: str) -> list:
-    """Constraint relations of one coupling family as (a, mate, map, what).
+def _mirror_c(system: TodaSystem, signs: np.ndarray, sign: str, a: int, x: np.ndarray) -> np.ndarray:
+    """C_{sign(p-a)} from C_{sign a} = ``x``: the algebra condition x^t F + F x = 0
+    read block by block, x -> -F^{-1} x^t F for the antidiagonal invariant form F.
 
-    Each entry states C_mate = map(C_a); a == mate marks the self-paired
-    central entry of an even block count, which must be its own image.
+    ``signs`` are F's antidiagonal entries (all +1 for B/D, +1 then -1 for C);
+    they enter as one sign per entry, and where it is +1 the image is exactly -x^T.
     """
-    p = system.blocks.count
-    s = p // 2
-    cs = system.constraint_set
-    if cs == "A-none":
-        return []
-
-    def mirror(x):
-        return -t_transpose(x)
-
-    # B/D mirror every a <= s (the centre onto itself for even p); C twists its centre
-    table = [(a, p - a, mirror, f"C_{{{sign}{a}}}^T = -C_{{{sign}{p - a}}}")
-             for a in range(1, s if cs.startswith("C") else s + 1)]
-    if cs == "C-oddp":  # central pair twisted by the small symplectic form
-        itld = antidiag_unit(system.blocks.sizes[s - 1]).astype(complex)
-        jf = system.central_form().astype(complex)
-        if sign == "-":
-            table.append((s, s + 1, lambda x: -(itld @ np.swapaxes(x, -1, -2) @ jf), "twisted central pair"))
-        else:
-            table.append((s, s + 1, lambda x: jf @ np.swapaxes(x, -1, -2) @ itld, "twisted central pair"))
-    elif cs == "C-evenp":
-        table.append((s, s, t_transpose, f"C_{{{sign}{s}}}^T = C_{{{sign}{s}}}"))
-    return table
+    slices = system.blocks.slices()
+    rows, cols = (slices[a], slices[a - 1]) if sign == "-" else (slices[a - 1], slices[a])
+    twisted = t_transpose(x)
+    return np.where(np.multiply.outer(signs[cols][::-1], signs[rows][::-1]) > 0, -twisted, twisted)
 
 
 def make_c_blocks(system: TodaSystem, minus, plus, tol: float = 1e-12) -> CBlocks:
     """Build coupling blocks from either the independent or the full ones.
 
     Given only the independent blocks (all of them for series A, the first
-    half otherwise), the dependent blocks are completed from the constraint
-    relations and a self-paired central block is checked to 1e-12; given
-    all p-1 blocks, every relation is validated to ``tol``.
+    half otherwise), each dependent block C_{p-a} is completed as the mirror
+    image of C_a under the invariant form (``_mirror_c``) and a self-paired
+    central block (a = p - a) is checked to 1e-12; given all p-1 blocks,
+    every mirror relation is validated to ``tol``.
     """
     p = system.blocks.count
+    form = invariant_form(system.tag.series, system.tag.ambient_dim)
+    signs = None if form is None else np.fliplr(form).diagonal()
     out = {}
     for sign, entries in (("-", minus), ("+", plus)):
         full = _block_arrays(entries, [_shape_of_c(system, sign, a) for a in range(1, p)],
@@ -215,14 +201,16 @@ def make_c_blocks(system: TodaSystem, minus, plus, tol: float = 1e-12) -> CBlock
         complete = len(full) == p - 1
         scale = 1.0 + max((_max_abs(e) for e in full), default=0.0)
         full += [None] * (p - 1 - len(full))
-        for a, mate, rel, what in _c_relations(system, sign):
-            image = rel(full[a - 1])
+        for a in [] if signs is None else range(1, p // 2 + 1):  # series A has no form
+            mate = p - a
+            image = _mirror_c(system, signs, sign, a, full[a - 1])
             if not complete and a != mate:
                 full[mate - 1] = image
                 continue
             bound = tol * scale if complete else 1e-12 * (1.0 + _max_abs(full[a - 1]))
             if _max_abs(full[mate - 1] - image) > bound:
-                raise ConstraintError(f"coupling constraint violated: {what}")
+                raise ConstraintError(f"coupling constraint violated: C_{{{sign}{mate}}} "
+                                      f"is not the invariant-form mirror of C_{{{sign}{a}}}")
         out[sign] = full
     return CBlocks(system, tuple(out["-"]), tuple(out["+"]))
 
@@ -296,7 +284,9 @@ def central_defect(system: TodaSystem, central: np.ndarray) -> float:
 def _completed(system: TodaSystem, values, check_tol: float | None) -> tuple[list, list]:
     """All p diagonal blocks and their inverses, from one batched inverse per
     checked independent block: a mirrored block (beta_a^T)^{-1} is the twisted
-    transpose of beta_a^{-1}, and its inverse that of beta_a (views).  With
+    transpose of beta_a^{-1}, and its inverse that of beta_a (views).  This is
+    g -> F^{-1} g^{-t} F on a block that lies inside one half of the index
+    range, where F's antidiagonal signs are constant and cancel.  With
     ``check_tol`` the central block's self-constraint is checked first."""
     p = system.blocks.count
     series_a = system.tag.series == "A"
@@ -488,10 +478,13 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
         entry = samples[sign][a - 1][1:-1]
         return entry[:, None] if sign == "-" else entry[None, :]
 
+    def get_inverse(a):
+        return inverses[a - 1][1:-1, 1:-1]
+
     plan = StationPlan(independent_equations(system))
     grids = []
     labels = []
-    for eq, rhs in zip(plan.equations, plan.evaluate(get_beta, get_c)):
+    for eq, rhs in zip(plan.equations, plan.evaluate(get_beta, get_inverse, get_c)):
         a = eq.block
         u = _log_derivative(betas[a - 1], inverses[a - 1], spec.h_minus)
         dpu = _interior_dplus(u, spec.h_plus)

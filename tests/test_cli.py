@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -73,6 +74,21 @@ def test_equations_inline_and_invalid(capsys):
     assert "Jtilde_1" in out
     assert main(["equations", "--series", "D", "--rank", "3", "--blocks", "1,2,2"]) == 2
     assert "error[input]" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch):
+    argv = ["grade", "--series", "B", "--rank", "3", "--labels", "0,1,0"]
+    assert main(argv) == 0  # warm-up
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == 0
+    assert built == []
 
 
 def test_equations_from_system_file(tmp_path, capsys):

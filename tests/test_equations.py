@@ -7,10 +7,10 @@ import todakit as tk
 from todakit import equations
 from todakit.equations import StationPlan, evaluate_rhs, independent_equations
 from todakit.exact import SingularMatrixError
-from todakit.liealg import antidiag_unit, symplectic_form
-from todakit.toda import _c_relations, emit_equations
+from todakit.liealg import antidiag_unit, symplectic_form, t_transpose
+from todakit.toda import ConstraintError, emit_equations
 
-from conftest import ALL_CASES, build_case, line_couplings, random_couplings, smooth_closure
+from conftest import ALL_CASES, build_case, line_couplings, random_complex, random_couplings, smooth_closure
 
 
 def test_two_block_chain_equations():
@@ -102,17 +102,30 @@ def test_p2_single_equation_even_series():
     ("C", 3, (1, 2, 2, 1),
      "C_{+a}^T = -C_{+(4-a)} and C_{-a}^T = -C_{-(4-a)} for a = 1..1"),
 ], ids=["C1-p2", "C2-p2", "C3-p4"])
-def test_c_even_mirror_pairs_exclude_the_centre(series, rank, sizes, pair_line):
+def test_c_even_mirror_pairs_exclude_the_centre(series, rank, sizes, pair_line, rng):
     # the centre is symmetric, C_s^T = C_s; a mirror range through s would add
     # C_s^T = -C_s and with it force C_s = 0
     system = build_case(series, rank, sizes)
-    s = len(sizes) // 2
+    p, s = len(sizes), len(sizes) // 2
     lines = equations.constraint_descriptions(system)
     pairs = [line for line in lines if "-a)}" in line]
     assert pairs == ([pair_line] if pair_line else [])
     assert f"C_{{+{s}}}^T = C_{{+{s}}} and C_{{-{s}}}^T = C_{{-{s}}}" in lines
-    mirrored = {a for a, mate, _, _ in _c_relations(system, "+") if a != mate}
-    assert mirrored == set(range(1, s))
+
+    c = random_couplings(system, rng)  # completed from the independent couplings
+    for entries in (c.minus, c.plus):
+        for a in range(1, s):
+            assert np.array_equal(entries[p - a - 1], -t_transpose(entries[a - 1]))
+    raw = random_complex(rng, (sizes[s], sizes[s]))
+    antisymmetric = raw - t_transpose(raw)  # 0 for a 1 x 1 centre, which is its own T
+    for sign in "-+":
+        minus, plus = list(c.minus[:s]), list(c.plus[:s])
+        (minus if sign == "-" else plus)[s - 1] = antisymmetric
+        if sizes[s] == 1:
+            tk.make_c_blocks(system, minus, plus)
+        else:
+            with pytest.raises(ConstraintError):
+                tk.make_c_blocks(system, minus, plus)
 
 
 def _reference_rhs(eq, get_beta, get_c):
@@ -158,7 +171,7 @@ def test_station_plan_matches_reference_evaluator(case, lines, rng):
 
     eqs = independent_equations(system)
     plan = StationPlan(eqs)
-    for eq, got in zip(eqs, plan.evaluate(get_beta, get_c)):
+    for eq, got in zip(eqs, plan.evaluate(get_beta, lambda a: np.linalg.inv(get_beta(a)), get_c)):
         want = _reference_rhs(eq, get_beta, get_c)
         scale = np.max(np.abs(want))
         assert got.shape == want.shape
@@ -174,16 +187,19 @@ def test_station_plan_inverts_each_distinct_field_once(case, rng, monkeypatch):
     inverted = {f.index for eq in eqs for t in eq.terms for f in t.factors if f.inverse}
     calls = []
 
-    def counting(values):
-        calls.append(values.shape)
-        return np.linalg.inv(values)
+    def get_inverse(a):
+        calls.append(a)
+        return np.linalg.inv(betas[a - 1])
 
-    monkeypatch.setattr(equations, "batched_inverse", counting)
+    def no_inverse(values):
+        raise AssertionError("the plan takes its inverses from its caller")
+
+    monkeypatch.setattr(equations, "batched_inverse", no_inverse)
     betas = [np.eye(k) + 0.1 * rng.standard_normal((5, k, k)) for k in system.blocks.sizes]
     c = random_couplings(system, rng)
-    StationPlan(eqs).evaluate(lambda a: betas[a - 1],
+    StationPlan(eqs).evaluate(lambda a: betas[a - 1], get_inverse,
                               lambda sign, a: (c.minus if sign == "-" else c.plus)[a - 1])
-    assert sorted(calls) == sorted(betas[a - 1].shape for a in inverted)
+    assert sorted(calls) == sorted(inverted)
 
 
 def test_batched_inverse_scalar_path():

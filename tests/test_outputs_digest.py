@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 from pathlib import Path
-from unittest import mock
 
 from todakit import cli
 from todakit.liealg import _MIN_RANK
@@ -46,17 +45,15 @@ def _groups() -> dict[str, list[list[str]]]:
 
 def digests() -> dict[str, str]:
     """sha256 of each group's cases: argv, exit code, stdout and stderr."""
-    parser = cli.build_parser()  # built once: building it costs more than most cases
     out = {}
-    with mock.patch.object(cli, "build_parser", lambda: parser):
-        for group, cases in _groups().items():
-            digest = hashlib.sha256()
-            for argv in cases:
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = cli.main(argv)
-                digest.update(json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()]).encode())
-            out[group] = digest.hexdigest()
+    for group, cases in _groups().items():
+        digest = hashlib.sha256()
+        for argv in cases:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+            digest.update(json.dumps([argv, code, stdout.getvalue(), stderr.getvalue()]).encode())
+        out[group] = digest.hexdigest()
     return out
 
 

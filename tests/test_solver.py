@@ -381,10 +381,14 @@ def test_convergence_study_self_reference():
     assert 1.6 <= study.order <= 2.4
 
 
-def test_constrained_march_order_two(rng):
-    # each grid is measured against the next finer one, which reads 2.0 for a
-    # second-order scheme (see the three-grid test below)
-    system = build_case(*SYSTEM_CASES["C-oddp"][1])
+@pytest.mark.parametrize("case", [("A", 3, (2, 1, 1)), ("B", 3, (2, 3, 2)), ("C", 3, (1, 1, 2, 1, 1)),
+                                  ("D", 4, (1, 3, 3, 1)), ("C", 2, (2, 2))],
+                         ids=lambda case: f"{case[0]}{case[1]}-{case[2]}")
+def test_constrained_march_order_two(case, rng):
+    # one system per constraint class; each grid is measured against the next
+    # finer one, which reads 2.0 for a second-order scheme (see the three-grid
+    # test below)
+    system = build_case(*case)
     closure = smooth_closure(system, rng)
     c = random_couplings(system, rng)
 
