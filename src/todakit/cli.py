@@ -59,20 +59,12 @@ EXIT_NO_CONVERGENCE = 5
 # deterministic JSON
 
 
-def _format_scalar(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("non-finite float in output document")
-        return repr(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+def _one_line(value) -> str:
+    """A scalar or a flat list of floats as one line of JSON."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError:
+        raise ValueError("non-finite float in output document") from None
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
@@ -91,13 +83,10 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {float}:
-            try:
-                return json.dumps(obj, allow_nan=False)
-            except ValueError:
-                raise ValueError("non-finite float in output document") from None
+            return _one_line(obj)
         parts = [f"{inner}{dumps_deterministic(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _format_scalar(obj)
+    return _one_line(obj)
 
 
 def matrix_to_json(arr: np.ndarray) -> list[float]:

@@ -189,70 +189,49 @@ def operator_from_labels(labels: DynkinLabels) -> GradingOperator:
     return canonical_block_operator(labels_to_block_structure(labels))
 
 
-def _first_half_boundaries(labels: DynkinLabels) -> list[tuple[int, int]]:
-    """(position, step) pairs describing block boundaries at positions <= r-ish."""
-    tag = labels.tag
-    q = labels.labels
-    r = tag.rank
-    if tag.series != "D":
-        return [(d + 1, q[d]) for d in range(r) if q[d]]
-    # Series D: the last two labels jointly encode boundaries at r-1 and r.
-    pairs = [(d + 1, q[d]) for d in range(r - 2) if q[d]]
-    step_rm1 = q[r - 2]
-    step_r = q[r - 1] - q[r - 2]
-    if step_rm1:
-        pairs.append((r - 1, step_rm1))
-    if step_r:
-        pairs.append((r, step_r))
-    return pairs
+def _drops(labels: DynkinLabels) -> list[int]:
+    """The n - 1 drops h_i - h_{i+1} of the grading diagonal, from normalized labels.
+
+    Label q_j is the simple root alpha_j on the grading operator, which is the
+    drop across gap j.  For B, C and D gap n - j mirrors gap j and the last
+    root sets the middle gap: q_r for C and q_r - q_{r-1} for D (for B the
+    two gaps around the zero middle entry drop by q_r each).
+    """
+    q = list(labels.labels)
+    series = labels.tag.series
+    if series == "A":
+        return q
+    if series == "B":
+        return q + q[::-1]
+    middle = q[-1] - q[-2] if series == "D" else q[-1]
+    return q[:-1] + [middle] + q[-2::-1]
 
 
 def labels_to_block_structure(labels: DynkinLabels) -> BlockStructure:
-    """Read the block partition directly off the label pattern."""
+    """The blocks are the runs of zero drops, the steps the nonzero drops."""
     labels = labels.normalized()
-    tag = labels.tag
-    n, r = tag.ambient_dim, tag.rank
-    pairs = _first_half_boundaries(labels)
-    positions = [pos for pos, _ in pairs]
-    steps_half = [step for _, step in pairs]
-    if tag.series == "A":
-        sizes = [positions[0]] + [
-            b - a for a, b in zip(positions, positions[1:])
-        ] + [n - positions[-1]]
-        return BlockStructure(tag, tuple(sizes), tuple(steps_half))
-    first = [positions[0]] + [b - a for a, b in zip(positions, positions[1:])]
-    last = positions[-1]
-    if tag.series != "B" and last == r:
-        sizes = first + first[::-1]
-        steps = steps_half + steps_half[:-1][::-1]
-    else:
-        central = 2 * (r - last) + (1 if tag.series == "B" else 0)
-        sizes = first + [central] + first[::-1]
-        steps = steps_half + steps_half[::-1]
-    return BlockStructure(tag, tuple(sizes), tuple(steps))
+    drops = _drops(labels)
+    ends = [i for i, d in enumerate(drops, start=1) if d]
+    sizes = [b - a for a, b in zip([0, *ends], [*ends, labels.tag.ambient_dim])]
+    return BlockStructure(labels.tag, tuple(sizes), tuple(d for d in drops if d))
 
 
 def block_structure_to_labels(blocks: BlockStructure) -> DynkinLabels:
-    """Labels whose gradation has the given block structure (D normalized)."""
+    """Labels whose gradation has the given block structure (D normalized):
+    each step is the drop at its block's end, and ``_drops`` is inverted."""
     tag = blocks.tag
-    r = tag.rank
-    bounds = blocks.boundaries
-    step_at = {bounds[a]: blocks.steps[a] for a in range(blocks.count - 1)}
-    q = [0] * r
-    if tag.series == "A":
-        for pos, step in step_at.items():
-            q[pos - 1] = step
-    elif tag.series in ("B", "C"):
-        for pos, step in step_at.items():
-            if pos <= r:
-                q[pos - 1] = step
-    else:
-        for pos, step in step_at.items():
-            if pos <= r - 2:
-                q[pos - 1] = step
-        q[r - 2] = step_at.get(r - 1, 0)
-        q[r - 1] = q[r - 2] + step_at.get(r, 0)
+    drops = [0] * (tag.ambient_dim - 1)
+    for end, step in zip(blocks.boundaries, blocks.steps):
+        drops[end - 1] = step
+    q = drops[:tag.rank]
+    if tag.series == "D":
+        q[-1] += q[-2]
     return DynkinLabels(tag, tuple(q))
+
+
+def _depths(blocks: BlockStructure) -> tuple[int, ...]:
+    """How far each block's level sits below the first: 0, m_1, m_1 + m_2, ..."""
+    return (0, *itertools.accumulate(blocks.steps))
 
 
 def canonical_block_operator(blocks: BlockStructure) -> GradingOperator:
@@ -264,9 +243,9 @@ def canonical_block_operator(blocks: BlockStructure) -> GradingOperator:
     (sum_{b>=a} m_b (n - K_b) - sum_{b<a} m_b K_b) / n, and for the
     palindromic B, C and D partitions (sum_{b>=a} m_b - sum_{b<a} m_b) / 2.
     """
-    drops = (0,) + tuple(itertools.accumulate(blocks.steps))
-    top = Fraction(sum(k * d for k, d in zip(blocks.sizes, drops)), blocks.tag.ambient_dim)
-    return GradingOperator(blocks, tuple(top - d for d in drops))
+    depths = _depths(blocks)
+    top = Fraction(sum(k * d for k, d in zip(blocks.sizes, depths)), blocks.tag.ambient_dim)
+    return GradingOperator(blocks, tuple(top - d for d in depths))
 
 
 def block_degree(a: int, b: int, blocks: BlockStructure) -> int:
@@ -274,11 +253,8 @@ def block_degree(a: int, b: int, blocks: BlockStructure) -> int:
     p = blocks.count
     if not (1 <= a <= p and 1 <= b <= p):
         raise IndexError(f"block indices ({a}, {b}) out of range for {p} blocks")
-    if a == b:
-        return 0
-    if a < b:
-        return sum(blocks.steps[a - 1 : b - 1])
-    return -sum(blocks.steps[b - 1 : a - 1])
+    depths = _depths(blocks)
+    return depths[b - 1] - depths[a - 1]
 
 
 @dataclass(frozen=True)

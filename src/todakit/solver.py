@@ -42,6 +42,7 @@ from .toda import (
     TodaSystem,
     _block_arrays,
     _c_samples,
+    _check_inputs,
     _sample_closure,
     block_residuals,
     build_system,
@@ -207,16 +208,14 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     :class:`ConvergenceError` if the corrector does not reach its fixed
     point within 25 sweeps.
     """
-    if not (isinstance(c, CBlocks) and isinstance(data, CharacteristicData) and c.system == system):
-        raise ValueError("march needs the system's CBlocks and a CharacteristicData")
+    if not isinstance(data, CharacteristicData):
+        raise ValueError(f"march needs a CharacteristicData, got {type(data).__name__}")
+    _check_inputs(system, c, data.left, "boundary line")
     spec = data.spec
     ni, nj = spec.n_minus, spec.n_plus
     hm, hp = spec.h_minus, spec.h_plus
-    count = system.independent_beta_count
-    sizes = system.blocks.sizes
     # one equation per independent block, in block order
     plan = StationPlan(independent_equations(system))
-    _block_arrays(data.left, [(k, k) for k in sizes[:count]], "boundary line", leads=None)
 
     data_mag, data_inv = [], []
     for a, lines in enumerate(zip(data.left, data.bottom), start=1):
@@ -227,7 +226,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
         data_mag.append(max(_max_abs(line) for line in lines))
 
     # one (n_minus, n_plus, k, k) grid per independent block
-    grids = [np.empty((ni, nj, k, k), dtype=complex) for k in sizes[:count]]
+    grids = [np.empty((ni, nj) + left.shape[1:], dtype=complex) for left in data.left]
     for grid, left, bottom in zip(grids, data.left, data.bottom):
         grid[:, 0] = left
         grid[0, :] = bottom

@@ -10,8 +10,9 @@ A coupling entry is one constant block or one sample per line of its
 chirality; ``_c_samples`` is the one place that tells the two apart.
 Block lists from a caller (couplings, diagonal blocks, gauge factors,
 boundary lines, the samples of a closure and the blocks of a ``GridField``)
-are coerced and checked in ``_block_arrays`` only, and completed blocks and
-their inverses come from ``_completed`` only.
+are coerced and checked in ``_block_arrays`` only, an evaluator's couplings
+and field are checked against its system in ``_check_inputs`` only, and
+completed blocks and their inverses come from ``_completed`` only.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "build_system",
     "make_c_blocks",
     "assemble_c",
-    "complete_betas",
     "assemble_gamma",
     "field_from_closure",
     "residual_full",
@@ -300,15 +300,14 @@ def _completed(system: TodaSystem, values, check_tol: float | None) -> tuple[lis
             [*inverses, *(t_transpose(values[a]) for a in mirrored)])
 
 
-def complete_betas(system: TodaSystem, betas, check_tol: float | None = 1e-10) -> list[np.ndarray]:
-    """All p diagonal blocks from the independent ones (batched arrays allowed)."""
-    shapes = [(k, k) for k in system.blocks.sizes[:system.independent_beta_count]]
-    return _completed(system, _block_arrays(betas, shapes, "independent block", leads=None), check_tol)[0]
+def _independent_shapes(system: TodaSystem) -> list[tuple[int, int]]:
+    return [(k, k) for k in system.blocks.sizes[:system.independent_beta_count]]
 
 
 def assemble_gamma(system: TodaSystem, betas) -> np.ndarray:
     """Block-diagonal group element from independent block values at one point."""
-    return _place_blocks(system, complete_betas(system, betas), 0)
+    values = _block_arrays(betas, _independent_shapes(system), "independent block", leads=None)
+    return _place_blocks(system, _completed(system, values, 1e-10)[0], 0)
 
 
 @dataclass(frozen=True)
@@ -358,6 +357,25 @@ class GridField:
         object.__setattr__(self, "betas", tuple(betas))
 
 
+def _check_inputs(system: TodaSystem, c, field, what: str = "field") -> None:
+    """A caller's couplings and field checked against ``system``.
+
+    ``c`` must be the system's CBlocks (ValueError) and ``field`` a GridField
+    with one (k, k) block per independent block (ShapeError); ``march`` passes
+    its boundary lines as ``field``, with ``what`` naming them.  Only shapes
+    are compared: GridField and the boundary data checked their entries.
+    """
+    if not (isinstance(c, CBlocks) and c.system == system):
+        raise ValueError(f"couplings must be the CBlocks of the system, got {type(c).__name__}")
+    if what == "field":
+        if not isinstance(field, GridField):
+            raise ShapeError(f"field must be a GridField, got {type(field).__name__}")
+        field = field.betas
+    got, want = [b.shape[-2:] for b in field], _independent_shapes(system)
+    if got != want:
+        raise ShapeError(f"{what} blocks have shapes {got}; the system's independent blocks are {want}")
+
+
 def _sample_closure(system: TodaSystem, closure, z_minus, z_plus) -> tuple[np.ndarray, ...]:
     """Independent blocks of ``closure(z_minus, z_plus)`` at broadcast coordinate pairs.
 
@@ -373,7 +391,7 @@ def _sample_closure(system: TodaSystem, closure, z_minus, z_plus) -> tuple[np.nd
             raise ShapeError(f"closure must return a list of {count} blocks, got {values!r}")
         for sample, value in zip(samples, values):
             sample.append(value)
-    stacks = _block_arrays(samples, [(k, k) for k in system.blocks.sizes[:count]], "closure block", ((zm.size,),))
+    stacks = _block_arrays(samples, _independent_shapes(system), "closure block", ((zm.size,),))
     return tuple(stack.reshape(zm.shape + stack.shape[1:]) for stack in stacks)
 
 
@@ -438,6 +456,7 @@ def _interior_dplus(u: np.ndarray, h_plus: float) -> np.ndarray:
 
 def _connection_parts(system: TodaSystem, field: GridField, c: CBlocks):
     """gamma^{-1} d_- gamma, the C_- lines and gamma^{-1} c_+ gamma over the grid."""
+    _check_inputs(system, c, field)
     spec = field.spec
     gamma, gamma_inv = (_place_blocks(system, blocks, 0) for blocks in _completed(system, field.betas, None))
     cm = _c_lines(system, c, "-", spec.n_minus)
@@ -452,8 +471,8 @@ def residual_full(system: TodaSystem, field: GridField, c: CBlocks) -> ResidualR
     nested derivative formed by differencing the logarithmic-derivative grid,
     so each block of R matches the blockwise evaluation stencil for stencil.
     """
-    spec = field.spec
     u, cm, w = _connection_parts(system, field, c)
+    spec = field.spec
     w_int = w[1:-1, 1:-1]
     cm_int = cm[1:-1][:, None]
     residual = _interior_dplus(u, spec.h_plus) - (cm_int @ w_int - w_int @ cm_int)
@@ -465,6 +484,7 @@ def residual_full(system: TodaSystem, field: GridField, c: CBlocks) -> ResidualR
 
 def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> ResidualReport:
     """Residuals of the independent block equations (folded boundary forms)."""
+    _check_inputs(system, c, field)
     spec = field.spec
     betas = field.betas
     inverses = _completed(system, betas, None)[1]
@@ -523,8 +543,9 @@ def gauge_transform(system: TodaSystem, field: GridField, c: CBlocks, xi_minus, 
     together with the conjugated coupling blocks, which stay constant where
     the factors they meet are constant.
     """
+    _check_inputs(system, c, field)
     spec = field.spec
-    shapes = [(k, k) for k in system.blocks.sizes[:system.independent_beta_count]]
+    shapes = _independent_shapes(system)
     (xi_m, xi_m_inv), (xi_p, xi_p_inv) = (
         _completed(system, _block_arrays(xi, shapes, f"{name} block", ((), (n,))), 1e-10)
         for xi, name, n in ((xi_minus, "xi_minus", spec.n_minus), (xi_plus, "xi_plus", spec.n_plus)))

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from todakit.grading import (
     operator_matrix_from_labels,
 )
 from todakit.liealg import (
+    _MIN_RANK,
     SeriesTag,
     algebra_basis_with_positions,
     algebra_membership,
@@ -164,13 +166,24 @@ def test_d_series_normalization_via_automorphism():
     assert rmat_equal(a @ raw @ a, target)
 
 
-def test_labels_block_round_trip(rng):
-    for series, rank in [("A", 5), ("B", 4), ("C", 4), ("D", 5)]:
-        tag = SeriesTag(series, rank)
-        for _ in range(10):
-            labels = _random_labels(tag, rng).normalized()
-            blocks = labels_to_block_structure(labels)
-            assert block_structure_to_labels(blocks) == labels
+def test_labels_block_round_trip():
+    # every label vector in {0,1,2}^r, r <= 5: the blocks are the runs of the
+    # Cartan-inverse diagonal, the steps and block degrees its level differences
+    for series, low in sorted(_MIN_RANK.items()):
+        for rank in range(low, 6):
+            tag = SeriesTag(series, rank)
+            for q in itertools.product(range(3), repeat=rank):
+                if not any(q):
+                    continue
+                labels = DynkinLabels(tag, q)
+                blocks = labels_to_block_structure(labels)
+                assert block_structure_to_labels(blocks) == labels.normalized()
+                runs = [(level, len(list(run))) for level, run in itertools.groupby(_cartan_diagonal(labels))]
+                levels = [level for level, _ in runs]
+                assert blocks.sizes == tuple(size for _, size in runs)
+                assert blocks.steps == tuple(a - b for a, b in zip(levels, levels[1:]))
+                for a, b in itertools.product(range(1, blocks.count + 1), repeat=2):
+                    assert block_degree(a, b, blocks) == levels[a - 1] - levels[b - 1]
     # D with boundaries at both r-1 and r: the last two labels couple
     blocks = BlockStructure(SeriesTag("D", 4), (3, 1, 1, 3), (1, 1, 1))
     labels = block_structure_to_labels(blocks)

@@ -115,6 +115,20 @@ bad_return = st.one_of(st.none(), st.just(object()), st.text(max_size=3), st.boo
 bad_pair = st.one_of(junk, st.integers(), st.just(IDENTITY[:1]), st.just(IDENTITY * 2),
                      st.just((IDENTITY[0], 1.0)), st.builds(_pair_returning, bad_return, st.integers(0, 1)))
 
+# the evaluators take a field and couplings; the Liouville system has two
+# independent blocks, so these fields hold one too few and one too many
+SHORT_FIELD = tk.GridField(SPEC, LIOUVILLE.field.betas[:1])
+LONG_FIELD = tk.GridField(SPEC, LIOUVILLE.field.betas + LIOUVILLE.field.betas[:1])
+bad_field = st.one_of(junk, st.sampled_from([SHORT_FIELD, LONG_FIELD]))
+bad_c = st.one_of(junk, st.just(OTHER_C))
+UNIT_GAUGE = [np.eye(1), np.eye(1)]
+EVALUATORS = {
+    "residual_full": tk.residual_full,
+    "block_residuals": tk.block_residuals,
+    "connection": tk.connection,
+    "gauge_transform": lambda system, field, c: tk.gauge_transform(system, field, c, UNIT_GAUGE, UNIT_GAUGE),
+}
+
 
 CALLS = {
     "SeriesTag.series": (st.one_of(junk.filter(lambda v: v not in ("A", "B", "C", "D")),
@@ -159,6 +173,10 @@ CALLS = {
     "march.c": (st.one_of(junk, st.just(OTHER_C)), lambda v: march(LIOUVILLE.system, v, DATA)),
     "march.data": (st.one_of(junk, st.just(CharacteristicData(SPEC, DATA.left[:1], DATA.bottom[:1]))),
                    lambda v: march(LIOUVILLE.system, LIOUVILLE.c, v)),
+    **{f"{name}.field": (bad_field, lambda v, f=f: f(LIOUVILLE.system, v, LIOUVILLE.c))
+       for name, f in EVALUATORS.items()},
+    **{f"{name}.c": (bad_c, lambda v, f=f: f(LIOUVILLE.system, LIOUVILLE.field, v))
+       for name, f in EVALUATORS.items()},
 }
 
 

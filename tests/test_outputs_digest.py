@@ -1,6 +1,6 @@
 """The paper's tables as a committed digest.
 
-``grade`` over every label vector in {0,1}^r and ``equations`` over every
+``grade`` over every label vector in {0,1,2}^r and ``equations`` over every
 unit-step system, for series A-D and rank r <= 5, each in text, latex and
 structured output, run through ``cli.main``.  One sha256 per (command,
 series, rank) covers the argv, exit code, stdout and stderr of its cases, so
@@ -34,7 +34,7 @@ def _groups() -> dict[str, list[list[str]]]:
         for rank in range(low, MAX_RANK + 1):
             groups[f"grade {series} {rank}"] = [
                 ["grade", "--series", series, "--rank", str(rank), "--labels", ",".join(labels), "--format", fmt]
-                for labels in itertools.product("01", repeat=rank) for fmt in FORMATS]
+                for labels in itertools.product("012", repeat=rank) for fmt in FORMATS]
     for series, rank, sizes in unit_step_cases(MAX_RANK):
         blocks = ",".join(map(str, sizes))
         groups.setdefault(f"equations {series} {rank}", []).extend(
