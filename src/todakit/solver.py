@@ -8,20 +8,25 @@ side at the averaged field, iterated to a fixed point) and then recovers
 beta_a along the first coordinate with an implicit midpoint rule that is
 solvable in closed form: beta_a on the column is its boundary sample times
 a prefix product of per-row transfer matrices, taken with a pairwise scan.
-Self-paired central blocks are re-projected onto their constraint manifold
-after every accepted column.
+The iteration of the first two columns starts from an Euler predictor; from
+the third column on it starts from the quadratic through the last three
+columns, 3 (beta_j - beta_{j-1}) + beta_{j-2}, so every right-hand side
+evaluated is one corrector sweep.  Self-paired central blocks are
+re-projected onto their constraint manifold after every accepted column.
 
 The march holds one array per independent block and loops over the blocks
 at every step of a column.  The right-hand sides come from a
-``StationPlan`` compiled once per march; every inverse of a block sample
-goes through ``equations.batched_inverse``, and 1 x 1 blocks take scalar
-paths (a reciprocal, the Cayley transfer (1 + a)/(1 - a) and a cumulative
-product).  An exactly singular sample met on the way (at the half-point
-initialisation, a station or a Cayley transfer) is a blow-up at that
-sample's own (row, column).  The health check of an accepted column bounds
-the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2; the bound is
-exact for 1 x 1 blocks and at most k times cond_2 for k x k blocks, so it
-can flag a blow-up earlier, never later.
+``StationPlan`` compiled once per march; every product of block samples
+goes through ``equations.block_matmul`` and every inverse through
+``equations.batched_inverse``.  1 x 1 blocks take scalar paths (a
+reciprocal, the Cayley transfer (1 + a)/(1 - a) and a cumulative product),
+and 2 x 2 blocks closed forms (the adjugate inverse and the transfer
+2 (I - a)^{-1} - I).  An exactly singular sample met on the way (at the
+half-point initialisation, a station or a Cayley transfer) is a blow-up at
+that sample's own (row, column).  The health check of an accepted column
+bounds the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2; the
+bound is exact for 1 x 1 blocks and at most k times cond_2 for k x k
+blocks, so it can flag a blow-up earlier, never later.
 """
 
 from __future__ import annotations
@@ -30,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import StationPlan, batched_inverse, independent_equations
+from .equations import StationPlan, batched_inverse, block_matmul, independent_equations
 from .exact import SingularMatrixError
-from .liealg import SeriesTag, _max_abs, form_defect
+from .liealg import SeriesTag, _max_abs
 from .toda import (
     CBlocks,
     DomainError,
@@ -129,19 +134,22 @@ def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
     implicit midpoint recovery step, and a second-order midpoint value.
     """
     eye = np.eye(values.shape[-1])
-    transfer = batched_inverse(values[:-1]) @ values[1:]
-    return (2.0 / h) * (batched_inverse(eye + transfer) @ (transfer - eye))
+    transfer = block_matmul(batched_inverse(values[:-1]), values[1:])
+    return (2.0 / h) * block_matmul(batched_inverse(eye + transfer), transfer - eye)
 
 
 def _cayley(half: np.ndarray) -> np.ndarray:
     """The implicit midpoint transfers (I + H)(I - H)^{-1} of a stack of H.
 
-    The two factors commute, so k >= 2 takes one batched linear solve;
-    raises ``SingularMatrixError`` where I - H is singular.
+    The two factors commute, so 2 x 2 blocks take 2 (I - H)^{-1} - I from the
+    closed-form inverse and k >= 3 one batched linear solve; raises
+    ``SingularMatrixError`` where I - H is singular.
     """
     if half.shape[-2:] == (1, 1):
         return (1.0 + half) * batched_inverse(1.0 - half)
     eye = np.eye(half.shape[-1])
+    if half.shape[-2:] == (2, 2):
+        return 2.0 * batched_inverse(eye - half) - eye
     try:
         return np.linalg.solve(eye - half, eye + half)
     except np.linalg.LinAlgError:
@@ -174,34 +182,38 @@ def _scan_pairs(out: np.ndarray):
     odd = out[..., 1::2, :, :]
     if odd.shape[-3] == 0:
         return
-    odd[...] = out[..., : 2 * odd.shape[-3] : 2, :, :] @ odd
+    odd[...] = block_matmul(out[..., : 2 * odd.shape[-3] : 2, :, :], odd)
     _scan_pairs(odd)
     even = out[..., 2::2, :, :]
-    even[...] = out[..., 1 : 2 * even.shape[-3] : 2, :, :] @ even
+    even[...] = block_matmul(out[..., 1 : 2 * even.shape[-3] : 2, :, :], even)
 
 
 def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Newton steps toward the manifold g^t F g = F of the central block.
 
-    Both invariant forms are signed permutations, so F^{-1} = F^t.
+    Both invariant forms are signed permutations, so F^{-1} = F^t.  The
+    defect is ``liealg.form_defect`` taken with the block products.
     """
     eye = np.eye(g.shape[-1])
     for _ in range(3):
-        defect = form_defect(form, g)
+        defect = block_matmul(np.swapaxes(g, -1, -2), block_matmul(form, g)) - form
         if _max_abs(defect) < 1e-14 * (1.0 + _max_abs(g)):
             break
-        g = g @ (eye - 0.5 * form.T @ defect)
+        g = block_matmul(g, eye - 0.5 * block_matmul(form.T, defect))
     return g
 
 
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
-    Each column's corrector stops once its last change delta_k is within
-    the fixed-point tolerance, or once it contracts (theta = delta_k /
-    delta_{k-1} < 1) and the predicted distance to the fixed point,
-    delta_k theta / (1 - theta), is (Hairer & Wanner, *Solving ODEs II*,
-    sec. IV.8).
+    From the third column on, the corrector starts from the quadratic
+    extrapolation of the last three columns, a starting value taken from
+    the previous steps as in Hairer & Wanner, *Solving ODEs II*, sec. IV.8;
+    the first two columns start from an Euler predictor.  Each column's
+    corrector stops once its last change delta_k is within the fixed-point
+    tolerance, or once it contracts (theta = delta_k / delta_{k-1} < 1) and
+    the predicted distance to the fixed point, delta_k theta / (1 - theta),
+    is (ibid.).
 
     Raises :class:`BlowUpError` at the first sample that is singular or
     whose condition number bound or magnitude degenerates, and
@@ -272,8 +284,12 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     iterations = []
     for j in range(nj - 1):
         beta_cur = [grid[:, j] for grid in grids]
-        u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_cur, j))]
-        beta_next = integrate_lines(u_next, j)
+        if j < 2:  # an Euler predictor
+            beta_next = integrate_lines([u + hp * r for u, r in zip(u_cur, rhs_half(beta_cur, j))], j)
+        else:  # the quadratic through the last three columns, from the bottom sample
+            beta_next = [3.0 * (grid[:, j] - grid[:, j - 1]) + grid[:, j - 2] for grid in grids]
+            for grid, start in zip(grids, beta_next):
+                start[0] = grid[0, j + 1]
         prev_delta = None
         for sweep in range(_MAX_CORRECTORS):
             beta_mid = [0.5 * (cur + nxt) for cur, nxt in zip(beta_cur, beta_next)]

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
+from .equations import StationPlan, batched_inverse, block_matmul, emit_equations, independent_equations
 from .exact import ShapeError
 from .grading import BlockStructure, GradationError, canonical_block_operator
 from .liealg import SeriesTag, _integers, _max_abs, form_defect, invariant_form, t_transpose
@@ -360,13 +360,27 @@ class GridField:
 def _check_inputs(system: TodaSystem, c, field, what: str = "field") -> None:
     """A caller's couplings and field checked against ``system``.
 
-    ``c`` must be the system's CBlocks (ValueError) and ``field`` a GridField
-    with one (k, k) block per independent block (ShapeError); ``march`` passes
-    its boundary lines as ``field``, with ``what`` naming them.  Only shapes
-    are compared: GridField and the boundary data checked their entries.
+    ``c`` must be the system's CBlocks (ValueError) with p - 1 numeric entries
+    per family, each a block of the shape ``_shape_of_c`` gives or a line of
+    them (ShapeError: ``CBlocks`` itself checks nothing), and ``field`` a
+    GridField with one (k, k) block per independent block (ShapeError);
+    ``march`` passes its boundary lines as ``field``, with ``what`` naming
+    them.  Only shapes are compared: GridField and the boundary data checked
+    their entries.
     """
     if not (isinstance(c, CBlocks) and c.system == system):
         raise ValueError(f"couplings must be the CBlocks of the system, got {type(c).__name__}")
+    p = system.blocks.count
+    for sign, entries in (("-", c.minus), ("+", c.plus)):
+        if not isinstance(entries, (list, tuple)) or len(entries) != p - 1:
+            got = len(entries) if isinstance(entries, (list, tuple)) else type(entries).__name__
+            raise ShapeError(f"couplings must hold {p - 1} C_{sign} blocks, got {got}")
+        for a, entry in enumerate(entries, start=1):
+            shape = _shape_of_c(system, sign, a)
+            if not (isinstance(entry, np.ndarray) and entry.dtype.kind in "iufc"
+                    and entry.ndim in (2, 3) and entry.shape[-2:] == shape):
+                raise ShapeError(f"coupling C_{{{sign}{a}}} must be a numeric {shape} block "
+                                 f"or a line of them, got {getattr(entry, 'shape', type(entry).__name__)}")
     if what == "field":
         if not isinstance(field, GridField):
             raise ShapeError(f"field must be a GridField, got {type(field).__name__}")
@@ -446,7 +460,7 @@ def _log_derivative(values: np.ndarray, inverses: np.ndarray, h: float) -> np.nd
     d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
     d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return inverses @ d
+    return block_matmul(inverses, d)
 
 
 def _interior_dplus(u: np.ndarray, h_plus: float) -> np.ndarray:

@@ -120,7 +120,16 @@ bad_pair = st.one_of(junk, st.integers(), st.just(IDENTITY[:1]), st.just(IDENTIT
 SHORT_FIELD = tk.GridField(SPEC, LIOUVILLE.field.betas[:1])
 LONG_FIELD = tk.GridField(SPEC, LIOUVILLE.field.betas + LIOUVILLE.field.betas[:1])
 bad_field = st.one_of(junk, st.sampled_from([SHORT_FIELD, LONG_FIELD]))
-bad_c = st.one_of(junk, st.just(OTHER_C))
+# couplings of the right system built without make_c_blocks: no entries, 2 x 2
+# entries where the Liouville system has 1 x 1 ones, a family that is no list
+HAND_C = [
+    tk.CBlocks(LIOUVILLE.system, (), ()),
+    tk.CBlocks(LIOUVILLE.system, (np.eye(2),), (np.eye(2),)),
+    tk.CBlocks(LIOUVILLE.system, LIOUVILLE.c.minus, LIOUVILLE.c.plus * 2),
+    tk.CBlocks(LIOUVILLE.system, LIOUVILLE.c.minus, 5),
+    tk.CBlocks(LIOUVILLE.system, ([[1.0]],), LIOUVILLE.c.plus),
+]
+bad_c = st.one_of(junk, st.just(OTHER_C), st.sampled_from(HAND_C))
 UNIT_GAUGE = [np.eye(1), np.eye(1)]
 EVALUATORS = {
     "residual_full": tk.residual_full,
@@ -170,7 +179,7 @@ CALLS = {
     "conformal_transform.f_plus": (bad_pair, lambda v: tk.conformal_transform(
         LIOUVILLE.system, liouville_closure(), IDENTITY, v, SPEC)),
     "march.system": (st.one_of(junk, st.just(OTHER)), lambda v: march(v, LIOUVILLE.c, DATA)),
-    "march.c": (st.one_of(junk, st.just(OTHER_C)), lambda v: march(LIOUVILLE.system, v, DATA)),
+    "march.c": (bad_c, lambda v: march(LIOUVILLE.system, v, DATA)),
     "march.data": (st.one_of(junk, st.just(CharacteristicData(SPEC, DATA.left[:1], DATA.bottom[:1]))),
                    lambda v: march(LIOUVILLE.system, LIOUVILLE.c, v)),
     **{f"{name}.field": (bad_field, lambda v, f=f: f(LIOUVILLE.system, v, LIOUVILLE.c))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import todakit as tk
+from todakit import solver
+from todakit.equations import StationPlan
 from todakit.exact import ShapeError, SingularMatrixError
 from todakit.solver import (
     BlowUpError,
@@ -24,6 +26,7 @@ from conftest import (
     SYSTEM_CASES,
     boundary_from_closure,
     build_case,
+    random_complex,
     random_couplings,
     singular_station_case,
     smooth_closure,
@@ -176,6 +179,14 @@ def test_singular_cayley_transfer_names_its_sample(k):
     with pytest.raises(SingularMatrixError) as info:
         _cayley(half)
     assert info.value.index == (3,)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cayley_transfer_is_the_implicit_midpoint_step(k, rng):
+    half = 0.2 * random_complex(rng, (4, 6, k, k))
+    eye = np.eye(k)
+    want = np.linalg.solve(eye - half, eye + half)
+    assert np.max(np.abs(_cayley(half) - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_non_convergence_on_coarse_stiff_grid():
@@ -447,12 +458,32 @@ def test_corrector_sweeps_per_column(rng):
     spec = tk.GridSpec(0.0, 2.0, 1 / 32, 1 / 32, 33, 33)
     lv = liouville_field(spec)
     result = march(lv.system, lv.c, liouville_boundary(spec))
-    assert result.corrector_iterations == (4,) * 20 + (3,) * 12
+    assert result.corrector_iterations == (4,) * 12 + (3,) * 20
     system = build_case(*SYSTEM_CASES["C-oddp"][1])
     spec = tk.GridSpec(0.0, 0.0, 1 / 32, 1 / 32, 33, 33)
     data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
     result = march(system, random_couplings(system, rng, scale=0.4), data)
     assert result.corrector_iterations == (3,) * 32
+
+
+def test_two_right_hand_sides_per_column_after_the_second(rng, monkeypatch):
+    # the corrector of columns 1 and 2 starts from an Euler predictor, one more
+    # evaluation each; later columns start from the quadratic through the last
+    # three, so the march evaluates its right-hand sides once per sweep
+    class CountedPlan(StationPlan):
+        calls = 0
+
+        def evaluate(self, *args):
+            CountedPlan.calls += 1
+            return super().evaluate(*args)
+
+    monkeypatch.setattr(solver, "StationPlan", CountedPlan)
+    system = build_case(*SYSTEM_CASES["BD-oddp"][1])
+    spec = tk.GridSpec(0.0, 0.0, 1 / 32, 1 / 32, 33, 33)
+    data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
+    result = march(system, random_couplings(system, rng, scale=0.4), data)
+    assert len(result.corrector_iterations) == 32
+    assert CountedPlan.calls == sum(result.corrector_iterations) + 2
 
 
 def test_slow_contraction_keeps_sweeping():
