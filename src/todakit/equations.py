@@ -10,13 +10,14 @@ what is computed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
 from .exact import SingularMatrixError
-from .liealg import symplectic_form, t_transpose
+from .liealg import _SMALL_STACK, block_matmul, symplectic_form, t_transpose
 
 
 @dataclass(frozen=True)
@@ -214,22 +215,25 @@ def emit_equations(system, fmt: str = "text"):
 
 def batched_inverse(values: np.ndarray) -> np.ndarray:
     """Inverse of each matrix of a stack: a plain reciprocal for 1 x 1 matrices
-    and the adjugate over the determinant for 2 x 2 ones.
+    and, on stacks of at least ``liealg._SMALL_STACK`` 2 x 2 matrices, the
+    adjugate over the determinant.
 
     This is the one inverse of block samples.  On an exactly singular matrix
     it raises ``SingularMatrixError`` whose ``index`` locates the first such
-    matrix in row-major order of the leading axes.  A 2 x 2 stack with an
-    exactly zero determinant takes the general path, which decides.
+    matrix in row-major order of the leading axes.  A 2 x 2 stack whose
+    determinant or its reciprocal is not finite (a zero, an overflow or an
+    underflow) takes the general path, which decides.
     """
     if values.shape[-2:] == (1, 1):
         if values.all():
             return 1.0 / values
     else:
-        if values.shape[-2:] == (2, 2):
+        if values.shape[-2:] == (2, 2) and math.prod(values.shape[:-2]) >= _SMALL_STACK:
             a, b, c, d = values[..., 0, 0], values[..., 0, 1], values[..., 1, 0], values[..., 1, 1]
-            det = a * d - b * c
-            if det.all():
+            with np.errstate(all="ignore"):
+                det = a * d - b * c
                 inv_det = 1.0 / det
+            if np.isfinite(det).all() and np.isfinite(inv_det).all():
                 out = np.empty(values.shape, inv_det.dtype)
                 out[..., 0, 0], out[..., 0, 1] = d * inv_det, -b * inv_det
                 out[..., 1, 0], out[..., 1, 1] = -c * inv_det, a * inv_det
@@ -244,27 +248,6 @@ def batched_inverse(values: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             raise SingularMatrixError(f"singular block sample at {index}", index) from None
     raise SingularMatrixError("singular block sample")
-
-
-def block_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for stacks of small blocks, without one BLAS call per matrix.
-
-    numpy's batched matmul calls gemm once per matrix of a stack, which for
-    blocks this small costs more than the arithmetic.  A 2-D factor on either
-    side therefore takes one reshaped 2-D product, and a stack times a stack
-    with inner size at most 3 a sum of broadcast outer products; anything
-    else (larger blocks, two 2-D factors, mismatched shapes) is ``a @ b``.
-    """
-    if a.ndim == 2 and b.ndim > 2:
-        return np.swapaxes(block_matmul(np.swapaxes(b, -1, -2), a.T), -1, -2)
-    if b.ndim == 2 and a.ndim > 2:
-        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
-    if a.ndim == 2 or a.shape[-1] > 3 or a.shape[-1] != b.shape[-2]:
-        return a @ b
-    out = a[..., :, :1] * b[..., :1, :]
-    for i in range(1, a.shape[-1]):
-        out += a[..., :, i:i + 1] * b[..., i:i + 1, :]
-    return out
 
 
 class StationPlan:

@@ -116,7 +116,35 @@ def invariant_form(series: str, n: int) -> np.ndarray | None:
 
 def form_defect(form: np.ndarray, g: np.ndarray) -> np.ndarray:
     """g^t F g - F; vanishes exactly when g (or each matrix of a stack) preserves F."""
-    return np.swapaxes(g, -1, -2) @ form @ g - form
+    return block_matmul(np.swapaxes(g, -1, -2), block_matmul(form, g)) - form
+
+
+# Below this many matrices in a factor, numpy's per-matrix products are cheaper.
+_SMALL_STACK = 16
+
+
+def block_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of small blocks, without one BLAS call per matrix.
+
+    numpy's batched matmul calls gemm once per matrix of a stack, which for
+    blocks this small costs more than the arithmetic once a factor holds
+    ``_SMALL_STACK`` matrices.  Such a stack times a 2-D factor on either
+    side therefore takes one reshaped 2-D product, and a stack times a stack
+    with inner size at most 3 a sum of broadcast outer products; anything
+    else (shorter stacks, larger blocks, mismatched shapes) is ``a @ b``.
+    """
+    if max(math.prod(a.shape[:-2]), math.prod(b.shape[:-2])) < _SMALL_STACK:
+        return a @ b
+    if a.ndim == 2:
+        return np.swapaxes(block_matmul(np.swapaxes(b, -1, -2), a.T), -1, -2)
+    if b.ndim == 2:
+        return (a.reshape(-1, a.shape[-1]) @ b).reshape(a.shape[:-1] + b.shape[-1:])
+    if a.shape[-1] > 3 or a.shape[-1] != b.shape[-2]:
+        return a @ b
+    out = a[..., :, :1] * b[..., :1, :]
+    for i in range(1, a.shape[-1]):
+        out += a[..., :, i:i + 1] * b[..., i:i + 1, :]
+    return out
 
 
 def t_transpose(a: np.ndarray) -> np.ndarray:

@@ -17,16 +17,16 @@ re-projected onto their constraint manifold after every accepted column.
 The march holds one array per independent block and loops over the blocks
 at every step of a column.  The right-hand sides come from a
 ``StationPlan`` compiled once per march; every product of block samples
-goes through ``equations.block_matmul`` and every inverse through
-``equations.batched_inverse``.  1 x 1 blocks take scalar paths (a
-reciprocal, the Cayley transfer (1 + a)/(1 - a) and a cumulative product),
-and 2 x 2 blocks closed forms (the adjugate inverse and the transfer
-2 (I - a)^{-1} - I).  An exactly singular sample met on the way (at the
-half-point initialisation, a station or a Cayley transfer) is a blow-up at
-that sample's own (row, column).  The health check of an accepted column
-bounds the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2; the
-bound is exact for 1 x 1 blocks and at most k times cond_2 for k x k
-blocks, so it can flag a blow-up earlier, never later.
+goes through ``liealg.block_matmul`` and every inverse through
+``equations.batched_inverse`` (a reciprocal for 1 x 1 blocks, the adjugate
+for long stacks of 2 x 2 ones); the Cayley transfer is 2 (I - a)^{-1} - I
+and 1 x 1 prefix products a cumulative product.  An exactly singular
+sample met on the way (at the half-point initialisation, a station or a
+Cayley transfer) is a blow-up at that sample's own (row, column).  The
+health check of an accepted column bounds the condition number by
+||beta||_F ||beta^{-1}||_F >= cond_2; the bound is exact for 1 x 1 blocks
+and at most k times cond_2 for k x k blocks, so it can flag a blow-up
+earlier, never later.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import StationPlan, batched_inverse, block_matmul, independent_equations
+from .equations import StationPlan, batched_inverse, independent_equations
 from .exact import SingularMatrixError
-from .liealg import SeriesTag, _max_abs
+from .liealg import SeriesTag, _max_abs, block_matmul, form_defect
 from .toda import (
     CBlocks,
     DomainError,
@@ -141,20 +141,11 @@ def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
 def _cayley(half: np.ndarray) -> np.ndarray:
     """The implicit midpoint transfers (I + H)(I - H)^{-1} of a stack of H.
 
-    The two factors commute, so 2 x 2 blocks take 2 (I - H)^{-1} - I from the
-    closed-form inverse and k >= 3 one batched linear solve; raises
+    The two factors commute, so the transfer is 2 (I - H)^{-1} - I; raises
     ``SingularMatrixError`` where I - H is singular.
     """
-    if half.shape[-2:] == (1, 1):
-        return (1.0 + half) * batched_inverse(1.0 - half)
     eye = np.eye(half.shape[-1])
-    if half.shape[-2:] == (2, 2):
-        return 2.0 * batched_inverse(eye - half) - eye
-    try:
-        return np.linalg.solve(eye - half, eye + half)
-    except np.linalg.LinAlgError:
-        batched_inverse(eye - half)  # the same factorisation: raises at the first singular sample
-        raise
+    return 2.0 * batched_inverse(eye - half) - eye
 
 
 def _prefix_products(factors: np.ndarray) -> np.ndarray:
@@ -191,12 +182,11 @@ def _scan_pairs(out: np.ndarray):
 def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Newton steps toward the manifold g^t F g = F of the central block.
 
-    Both invariant forms are signed permutations, so F^{-1} = F^t.  The
-    defect is ``liealg.form_defect`` taken with the block products.
+    Both invariant forms are signed permutations, so F^{-1} = F^t.
     """
     eye = np.eye(g.shape[-1])
     for _ in range(3):
-        defect = block_matmul(np.swapaxes(g, -1, -2), block_matmul(form, g)) - form
+        defect = form_defect(form, g)
         if _max_abs(defect) < 1e-14 * (1.0 + _max_abs(g)):
             break
         g = block_matmul(g, eye - 0.5 * block_matmul(form.T, defect))

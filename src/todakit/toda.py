@@ -23,10 +23,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equations import StationPlan, batched_inverse, block_matmul, emit_equations, independent_equations
+from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
 from .exact import ShapeError
 from .grading import BlockStructure, GradationError, canonical_block_operator
-from .liealg import SeriesTag, _integers, _max_abs, form_defect, invariant_form, t_transpose
+from .liealg import SeriesTag, _integers, _max_abs, block_matmul, form_defect, invariant_form, t_transpose
 
 __all__ = [
     "ConstraintError",

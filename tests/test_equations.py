@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,7 @@ import todakit as tk
 from todakit import equations
 from todakit.equations import StationPlan, evaluate_rhs, independent_equations
 from todakit.exact import SingularMatrixError
-from todakit.liealg import antidiag_unit, symplectic_form, t_transpose
+from todakit.liealg import _SMALL_STACK, antidiag_unit, symplectic_form, t_transpose
 from todakit.toda import ConstraintError, emit_equations
 
 from conftest import ALL_CASES, build_case, line_couplings, random_complex, random_couplings, smooth_closure
@@ -210,34 +211,9 @@ def test_batched_inverse_scalar_path():
     assert info.value.index == (1,)
 
 
-@pytest.mark.parametrize("inner", [1, 2, 3, 4])
-@pytest.mark.parametrize("lead_a, lead_b", [
-    ((6,), (6,)),  # stack @ stack
-    ((), (6,)),  # a 2-D factor on the left
-    ((6,), ()),  # a 2-D factor on the right
-    ((), ()),
-    ((4, 1), (1, 5)),  # leading axes that broadcast
-    ((3, 5), (5,)),
-], ids=["stacks", "const-left", "const-right", "two-const", "broadcast", "broadcast-short"])
-def test_block_matmul_is_matmul(inner, lead_a, lead_b, rng):
-    # non-square factors, like the couplings between blocks of different sizes
-    a = random_complex(rng, lead_a + (2, inner))
-    b = random_complex(rng, lead_b + (inner, 3))
-    for x, y in ((a, b), (np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2))):  # also views
-        want = np.matmul(x, y)
-        got = equations.block_matmul(x, y)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_block_matmul_rejects_mismatched_blocks(rng):
-    with pytest.raises(ValueError):
-        equations.block_matmul(random_complex(rng, (4, 2, 2)), random_complex(rng, (4, 3, 2)))
-
-
 def test_batched_inverse_two_by_two(rng):
-    values = random_complex(rng, (3, 4, 2, 2))
-    for stack in (values, values.real, values[0, 0]):
+    values = random_complex(rng, (3, _SMALL_STACK, 2, 2))  # long enough for the adjugate
+    for stack in (values, values.real, values[:, :4], values[0, 0]):
         want = np.linalg.inv(stack)
         scale = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(want, axis=(-2, -1)) ** 2
         err = np.max(np.abs(equations.batched_inverse(stack) - want), axis=(-2, -1))
@@ -245,9 +221,21 @@ def test_batched_inverse_two_by_two(rng):
     # exactly singular samples at (1, 2) and (2, 0): the first in row-major order is named
     values[1, 2] = [[1.0, 2.0], [2.0, 4.0]]
     values[2, 0] = 0.0
-    with pytest.raises(SingularMatrixError) as info:
-        equations.batched_inverse(values)
-    assert info.value.index == (1, 2)
+    for stack in (values, values[:, :4]):
+        with pytest.raises(SingularMatrixError) as info:
+            equations.batched_inverse(stack)
+        assert info.value.index == (1, 2)
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e160])
+def test_batched_inverse_two_by_two_far_from_unit_scale(scale, rng):
+    # the determinant (or its reciprocal) leaves the floating range; LAPACK does not
+    values = np.eye(2) + 0.3 * random_complex(rng, (_SMALL_STACK, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = equations.batched_inverse(scale * values)
+    want = np.linalg.inv(values)
+    assert np.max(np.abs(scale * got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_equation_without_terms_is_rejected():

@@ -7,16 +7,21 @@ from todakit.liealg import (
     SeriesTag,
     algebra_basis,
     algebra_membership,
+    _SMALL_STACK,
     antidiag_unit,
     basis_unit,
+    block_matmul,
     cartan_generators,
     commutator,
     dr_automorphism,
     dr_conjugate,
+    form_defect,
     group_membership,
     symplectic_form,
     t_transpose,
 )
+
+from conftest import random_complex
 
 ALL_TAGS = [SeriesTag("A", 3), SeriesTag("B", 2), SeriesTag("C", 2), SeriesTag("D", 3)]
 
@@ -199,3 +204,38 @@ def test_dr_automorphism():
     sx = dr_conjugate(4, x)
     assert algebra_membership(tag, sx, tol=0).member
     assert np.all(dr_conjugate(4, sx) == x)
+
+
+@pytest.mark.parametrize("length", [_SMALL_STACK - 1, _SMALL_STACK], ids=["short", "long"])
+@pytest.mark.parametrize("inner", [1, 2, 3, 4])
+@pytest.mark.parametrize("lead_a, lead_b", [
+    ((None,), (None,)),  # stack @ stack
+    ((), (None,)),  # a 2-D factor on the left
+    ((None,), ()),  # a 2-D factor on the right
+    ((), ()),
+    ((4, 1), (1, None)),  # leading axes that broadcast
+    ((3, None), (None,)),
+], ids=["stacks", "const-left", "const-right", "two-const", "broadcast", "broadcast-short"])
+def test_block_matmul_is_matmul(length, inner, lead_a, lead_b, rng):
+    lead_a, lead_b = ([length if n is None else n for n in lead] for lead in (lead_a, lead_b))
+    # non-square factors, like the couplings between blocks of different sizes
+    a = random_complex(rng, (*lead_a, 2, inner))
+    b = random_complex(rng, (*lead_b, inner, 3))
+    for x, y in ((a, b), (np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2))):  # also views
+        want = np.matmul(x, y)
+        got = block_matmul(x, y)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("length", [_SMALL_STACK - 1, _SMALL_STACK], ids=["short", "long"])
+def test_block_matmul_rejects_mismatched_blocks(length, rng):
+    with pytest.raises(ValueError):
+        block_matmul(random_complex(rng, (length, 2, 2)), random_complex(rng, (length, 3, 2)))
+
+
+def test_form_defect_of_a_stack(rng):
+    form = symplectic_form(2)
+    g = np.eye(4) + 0.1 * random_complex(rng, (2, _SMALL_STACK, 4, 4))
+    want = np.swapaxes(g, -1, -2) @ form @ g - form
+    assert np.max(np.abs(form_defect(form, g) - want)) <= 1e-14

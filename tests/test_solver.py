@@ -5,6 +5,7 @@ import todakit as tk
 from todakit import solver
 from todakit.equations import StationPlan
 from todakit.exact import ShapeError, SingularMatrixError
+from todakit.liealg import _SMALL_STACK
 from todakit.solver import (
     BlowUpError,
     CharacteristicData,
@@ -172,13 +173,14 @@ def test_singular_half_point_is_a_blow_up_at_its_sample():
     assert info.value.location == (0, 0)
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_singular_cayley_transfer_names_its_sample(k):
-    half = np.zeros((5, k, k), dtype=complex)
-    half[3] = np.eye(k)  # I - H = 0 at row 3
-    with pytest.raises(SingularMatrixError) as info:
-        _cayley(half)
-    assert info.value.index == (3,)
+    for rows in (5, _SMALL_STACK):  # short and long stacks take different inverses
+        half = np.zeros((rows, k, k), dtype=complex)
+        half[3] = np.eye(k)  # I - H = 0 at row 3
+        with pytest.raises(SingularMatrixError) as info:
+            _cayley(half)
+        assert info.value.index == (3,)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
