@@ -423,9 +423,14 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is invalid input: one line, exit 2
+        raise ValueError(message)
+
+
 @functools.cache  # one parser per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="todakit",
         description="Block gradations of classical Lie algebras and nonabelian Toda systems",
     )
@@ -466,9 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (OSError, ValueError) as exc:  # JSON, shape, constraint, gradation, domain errors too
         print(f"todakit: error[input]: {exc}", file=sys.stderr)

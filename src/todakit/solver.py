@@ -9,10 +9,11 @@ beta_a along the first coordinate with an implicit midpoint rule that is
 solvable in closed form: beta_a on the column is its boundary sample times
 a prefix product of per-row transfer matrices, taken with a pairwise scan.
 The iteration of the first two columns starts from an Euler predictor; from
-the third column on it starts from the quadratic through the last three
-columns, 3 (beta_j - beta_{j-1}) + beta_{j-2}, so every right-hand side
-evaluated is one corrector sweep.  Self-paired central blocks are
-re-projected onto their constraint manifold after every accepted column.
+the third column on it starts from the polynomial through the corrector's
+fixed points of the last min(j, 4) + 1 columns, so every right-hand side
+evaluated is one corrector sweep, and on smooth data most columns take one.
+Self-paired central blocks are re-projected onto their constraint manifold
+after every accepted column; the starting values use the unprojected points.
 
 The march holds one array per independent block and loops over the blocks
 at every step of a column.  The right-hand sides come from a
@@ -31,6 +32,7 @@ earlier, never later.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,19 +198,21 @@ def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
-    From the third column on, the corrector starts from the quadratic
-    extrapolation of the last three columns, a starting value taken from
-    the previous steps as in Hairer & Wanner, *Solving ODEs II*, sec. IV.8;
-    the first two columns start from an Euler predictor.  Each column's
+    From the third column j + 1 on, the corrector starts from the polynomial
+    through the last m + 1 = min(j, 4) + 1 fixed points, weights
+    (-1)^q C(m + 1, q + 1), as in Hairer & Wanner, *Solving ODEs II*, sec.
+    IV.8; the first two columns start from an Euler predictor.  A column's
     corrector stops once its last change delta_k is within the fixed-point
-    tolerance, or once it contracts (theta = delta_k / delta_{k-1} < 1) and
-    the predicted distance to the fixed point, delta_k theta / (1 - theta),
-    is (ibid.).
+    tolerance, or once the predicted distance to the fixed point, delta_k
+    eta with eta = theta / (1 - theta) and theta = delta_k / delta_{k-1} < 1,
+    is (ibid.); a first sweep uses delta_1 eta^0.8 with the eta last
+    measured (a theta >= 1 clears it), the first-iteration test of Radau5.
 
     Raises :class:`BlowUpError` at the first sample that is singular or
     whose condition number bound or magnitude degenerates, and
-    :class:`ConvergenceError` if the corrector does not reach its fixed
-    point within 25 sweeps.
+    :class:`ConvergenceError` if the corrector diverges or does not reach
+    its fixed point within 25 sweeps, unless its widest iterate left the
+    range of the boundary data (then a blow-up).
     """
     if not isinstance(data, CharacteristicData):
         raise ValueError(f"march needs a CharacteristicData, got {type(data).__name__}")
@@ -271,16 +275,19 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
         u_cur = [_staggered_log_derivative(grid[:, 0], hm) for grid in grids]
     except SingularMatrixError as exc:
         raise BlowUpError("singular half-point average on the left line", (exc.index[0], 0)) from exc
-    iterations = []
+    fixed = [[grid[:, 0] for grid in grids]]  # the corrector's last fixed points, before projection
+    iterations, eta = [], None  # eta = theta / (1 - theta) of the last contraction measured
     for j in range(nj - 1):
         beta_cur = [grid[:, j] for grid in grids]
         if j < 2:  # an Euler predictor
             beta_next = integrate_lines([u + hp * r for u, r in zip(u_cur, rhs_half(beta_cur, j))], j)
-        else:  # the quadratic through the last three columns, from the bottom sample
-            beta_next = [3.0 * (grid[:, j] - grid[:, j - 1]) + grid[:, j - 2] for grid in grids]
+        else:  # the polynomial through the last m + 1 columns, from the bottom sample
+            m = min(j, 4)
+            beta_next = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
+                         for a in range(len(grids))]
             for grid, start in zip(grids, beta_next):
                 start[0] = grid[0, j + 1]
-        prev_delta = None
+        prev_delta, widest = None, (0.0, None)
         for sweep in range(_MAX_CORRECTORS):
             beta_mid = [0.5 * (cur + nxt) for cur, nxt in zip(beta_cur, beta_next)]
             u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_mid, j))]
@@ -288,29 +295,32 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
             delta = max(float(np.max(np.abs(new - old))) for new, old in zip(candidate, beta_next))
             beta_next = candidate
             scale = 1.0 + max(float(np.max(np.abs(b))) for b in beta_next)
+            widest = max(widest, (scale, beta_next), key=lambda pair: pair[0])
             if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
                                           and delta > _FP_TOL * scale):
                 _classify_divergence(beta_next, data_mag, data_inv, j + 1)
                 raise ConvergenceError(
                     f"corrector diverged at column {j + 1} (delta {delta:.3e})"
                 )
-            if delta <= _FP_TOL * scale:
-                break
-            if prev_delta is not None:
+            if prev_delta is not None and delta > 0.0:  # an exact repeat measures no rate
                 theta = delta / prev_delta
-                if theta < 1.0 and delta * theta / (1.0 - theta) <= _FP_TOL * scale:
-                    break
+                eta = theta / (1.0 - theta) if theta < 1.0 else None
+            if delta <= _FP_TOL * scale or (
+                    eta is not None and delta * eta ** (0.8 if prev_delta is None else 1.0) <= _FP_TOL * scale):
+                break
             prev_delta = delta
         else:
+            _classify_divergence(widest[1], data_mag, data_inv, j + 1)
             raise ConvergenceError(
                 f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
             )
         iterations.append(sweep + 1)
-        if form is not None:
-            beta_next[-1][1:] = _project_central(form, beta_next[-1][1:])
-        _check_health(beta_next, j + 1)
+        fixed = fixed[-4:] + [beta_next]
         for grid, column in zip(grids, beta_next):
             grid[:, j + 1] = column
+        if form is not None:
+            grids[-1][1:, j + 1] = _project_central(form, beta_next[-1][1:])
+        _check_health([grid[:, j + 1] for grid in grids], j + 1)
         u_cur = u_next
     field = GridField(spec, tuple(grids))
     residual = block_residuals(system, field, c)

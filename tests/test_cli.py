@@ -91,6 +91,30 @@ def test_main_reuses_one_parser(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["grade", "--series", "E", "--rank", "2", "--labels", "1,0"],
+    ["grade", "--series", "A", "--rank", "x", "--labels", "1,0"],
+    ["grade", "--series", "A", "--rank", "3", "--labels", "-1,0,0"],
+    ["verify", "--system", "system.json", "--grid", "grid.json", "--tol", "abc"],
+    ["verify", "--system", "system.json"],
+    ["grade", "--series", "A", "--rank", "2", "--labels", "1,0", "--extra"],
+    [],
+], ids=["series", "rank", "labels", "tol", "missing-flag", "unknown-flag", "no-command"])
+def test_usage_error_is_one_input_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("todakit: error[input]: ")
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["grade", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: todakit grade")
+
+
 def test_equations_from_system_file(tmp_path, capsys):
     spec = tk.GridSpec(0.0, 8.0, 0.25, 0.25, 5, 5)
     lv = liouville_field(spec)
