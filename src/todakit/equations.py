@@ -37,12 +37,11 @@ class Factor:
 
     def symbol(self, latex: bool = False) -> str:
         if self.base == "form":
-            core = rf"\tilde J_{{{self.index}}}" if latex else f"Jtilde_{self.index}"
-            return core
+            return rf"\tilde J_{{{self.index}}}" if latex else f"Jtilde_{self.index}"
         if self.base == "beta":
             core = rf"\beta_{{{self.index}}}" if latex else f"beta_{self.index}"
         else:
-            core = rf"C_{{{self.sign}{self.index}}}" if latex else f"C_{{{self.sign}{self.index}}}"
+            core = f"C_{{{self.sign}{self.index}}}"
         decoration = ("-1" if self.inverse else "") + (self.twist or "")
         return f"{core}^{{{decoration}}}" if decoration else core
 

@@ -283,13 +283,13 @@ def graded_decomposition(op: GradingOperator) -> GradedDecomposition:
     """Bucket a deterministic algebra basis by adjoint eigenvalue.
 
     Every basis element is supported on a single block position (plus its
-    mirror for B/C/D), so its degree is the integer level difference of the
-    two blocks involved.
+    mirror for B/C/D), so its degree is that of the block, as in
+    :func:`block_degree`: the depth of its column's block less its row's.
     """
-    diagonal = op.diagonal
+    depth = [d for size, d in zip(op.blocks.sizes, _depths(op.blocks)) for _ in range(size)]
     subspaces: dict[int, list[np.ndarray]] = {}
     for elem, (i, j) in algebra_basis_with_positions(op.tag):
-        subspaces.setdefault(int(diagonal[i - 1] - diagonal[j - 1]), []).append(elem)
+        subspaces.setdefault(depth[j - 1] - depth[i - 1], []).append(elem)
     return GradedDecomposition(op, subspaces)
 
 

@@ -8,10 +8,10 @@ side at the averaged field, iterated to a fixed point) and then recovers
 beta_a along the first coordinate with an implicit midpoint rule that is
 solvable in closed form: beta_a on the column is its boundary sample times
 a prefix product of per-row transfer matrices, taken with a pairwise scan.
-The iteration of the first two columns starts from an Euler predictor; from
-the third column on it starts from the polynomial through the corrector's
-fixed points of the last min(j, 4) + 1 columns, so every right-hand side
-evaluated is one corrector sweep, and on smooth data most columns take one.
+The iteration of column j + 1 starts from the polynomial through the
+corrector's fixed points of the last min(j, 4) + 1 columns (the previous
+column for the first), so every right-hand side evaluated is one corrector
+sweep, and on smooth data most columns take one.
 Self-paired central blocks are re-projected onto their constraint manifold
 after every accepted column; the starting values use the unprojected points.
 
@@ -131,13 +131,13 @@ class SolveResult:
 def _staggered_log_derivative(values: np.ndarray, h: float) -> np.ndarray:
     """beta^{-1} d beta at the half-points of a sample line.
 
-    Uses the Cayley form (2/h)(I + T)^{-1}(T - I) with T_i the one-step
-    transfer beta_i^{-1} beta_{i+1}; this is the exact inverse of the
-    implicit midpoint recovery step, and a second-order midpoint value.
+    The inverse of ``_cayley``: (2/h)(I - 2 (I + T)^{-1}) with T_i the
+    one-step transfer beta_i^{-1} beta_{i+1}, so the implicit midpoint
+    recovery step reproduces the line; a second-order midpoint value.
     """
     eye = np.eye(values.shape[-1])
     transfer = block_matmul(batched_inverse(values[:-1]), values[1:])
-    return (2.0 / h) * block_matmul(batched_inverse(eye + transfer), transfer - eye)
+    return (2.0 / h) * (eye - 2.0 * batched_inverse(eye + transfer))
 
 
 def _cayley(half: np.ndarray) -> np.ndarray:
@@ -198,10 +198,10 @@ def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
-    From the third column j + 1 on, the corrector starts from the polynomial
-    through the last m + 1 = min(j, 4) + 1 fixed points, weights
-    (-1)^q C(m + 1, q + 1), as in Hairer & Wanner, *Solving ODEs II*, sec.
-    IV.8; the first two columns start from an Euler predictor.  A column's
+    The corrector of column j + 1 starts from the polynomial through the
+    last m + 1 = min(j, 4) + 1 fixed points, weights (-1)^q C(m + 1, q + 1),
+    as in Hairer & Wanner, *Solving ODEs II*, sec. IV.8: the previous column
+    for j = 0, the line through two for j = 1.  A column's
     corrector stops once its last change delta_k is within the fixed-point
     tolerance, or once the predicted distance to the fixed point, delta_k
     eta with eta = theta / (1 - theta) and theta = delta_k / delta_{k-1} < 1,
@@ -211,8 +211,8 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     Raises :class:`BlowUpError` at the first sample that is singular or
     whose condition number bound or magnitude degenerates, and
     :class:`ConvergenceError` if the corrector diverges or does not reach
-    its fixed point within 25 sweeps, unless its widest iterate left the
-    range of the boundary data (then a blow-up).
+    its fixed point within 25 sweeps, unless the column's widest iterate
+    is not finite or left the range of the boundary data (then a blow-up).
     """
     if not isinstance(data, CharacteristicData):
         raise ValueError(f"march needs a CharacteristicData, got {type(data).__name__}")
@@ -278,30 +278,26 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     fixed = [[grid[:, 0] for grid in grids]]  # the corrector's last fixed points, before projection
     iterations, eta = [], None  # eta = theta / (1 - theta) of the last contraction measured
     for j in range(nj - 1):
-        beta_cur = [grid[:, j] for grid in grids]
-        if j < 2:  # an Euler predictor
-            beta_next = integrate_lines([u + hp * r for u, r in zip(u_cur, rhs_half(beta_cur, j))], j)
-        else:  # the polynomial through the last m + 1 columns, from the bottom sample
-            m = min(j, 4)
-            beta_next = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
-                         for a in range(len(grids))]
-            for grid, start in zip(grids, beta_next):
-                start[0] = grid[0, j + 1]
-        prev_delta, widest = None, (0.0, None)
+        # the polynomial through the last m + 1 columns, from the bottom sample
+        m = min(j, 4)
+        beta_next = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
+                     for a in range(len(grids))]
+        for grid, start in zip(grids, beta_next):
+            start[0] = grid[0, j + 1]
+        prev_delta, widest, failure = None, (0.0, None), None
         for sweep in range(_MAX_CORRECTORS):
-            beta_mid = [0.5 * (cur + nxt) for cur, nxt in zip(beta_cur, beta_next)]
+            beta_mid = [0.5 * (grid[:, j] + nxt) for grid, nxt in zip(grids, beta_next)]
             u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_mid, j))]
             candidate = integrate_lines(u_next, j)
-            delta = max(float(np.max(np.abs(new - old))) for new, old in zip(candidate, beta_next))
+            delta = _largest([new - old for new, old in zip(candidate, beta_next)])
             beta_next = candidate
-            scale = 1.0 + max(float(np.max(np.abs(b))) for b in beta_next)
-            widest = max(widest, (scale, beta_next), key=lambda pair: pair[0])
+            scale = 1.0 + _largest(beta_next)
+            if not scale <= widest[0]:  # a NaN scale wins, and its delta fails the corrector
+                widest = (scale, beta_next)
             if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
                                           and delta > _FP_TOL * scale):
-                _classify_divergence(beta_next, data_mag, data_inv, j + 1)
-                raise ConvergenceError(
-                    f"corrector diverged at column {j + 1} (delta {delta:.3e})"
-                )
+                failure = f"corrector diverged at column {j + 1} (delta {delta:.3e})"
+                break
             if prev_delta is not None and delta > 0.0:  # an exact repeat measures no rate
                 theta = delta / prev_delta
                 eta = theta / (1.0 - theta) if theta < 1.0 else None
@@ -310,10 +306,10 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
                 break
             prev_delta = delta
         else:
+            failure = f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
+        if failure:  # a blow-up if the column's widest iterate says so
             _classify_divergence(widest[1], data_mag, data_inv, j + 1)
-            raise ConvergenceError(
-                f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
-            )
+            raise ConvergenceError(failure)
         iterations.append(sweep + 1)
         fixed = fixed[-4:] + [beta_next]
         for grid, column in zip(grids, beta_next):
@@ -325,6 +321,11 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     field = GridField(spec, tuple(grids))
     residual = block_residuals(system, field, c)
     return SolveResult(field, residual, tuple(iterations))
+
+
+def _largest(arrays) -> float:
+    """Largest entry magnitude over some arrays; NaN if any entry is (``max`` would skip it)."""
+    return max((float(np.abs(a).max()) for a in arrays), key=lambda v: math.inf if math.isnan(v) else v)
 
 
 def _classify_divergence(columns, data_mag, data_inv, j: int):
@@ -344,10 +345,9 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
         except SingularMatrixError as exc:
             raise BlowUpError(f"block {a + 1} became singular while diverging",
                               (exc.index[0], j)) from exc
-        if np.max(magnitude) > 10.0 * (1.0 + data_mag[a]) or \
-                np.max(inv_mag) > 10.0 * (1.0 + data_inv[a]):
-            i = int(np.argmax(np.maximum(magnitude / (1.0 + data_mag[a]),
-                                         inv_mag / (1.0 + data_inv[a]))))
+        excess = np.maximum(magnitude / (1.0 + data_mag[a]), inv_mag / (1.0 + data_inv[a]))
+        if np.max(excess) > 10.0:
+            i = int(np.argmax(excess))
             raise BlowUpError(
                 f"block {a + 1} left the invertible range at row {i} "
                 f"(magnitude {magnitude[i]:.3e}, inverse {inv_mag[i]:.3e})",

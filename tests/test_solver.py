@@ -18,6 +18,7 @@ from todakit.solver import (
     _cayley,
     _check_health,
     _prefix_products,
+    _staggered_log_derivative,
     march,
 )
 from todakit.toda import central_defect
@@ -460,12 +461,12 @@ def test_corrector_sweeps_per_column(rng):
     spec = tk.GridSpec(0.0, 2.0, 1 / 32, 1 / 32, 33, 33)
     lv = liouville_field(spec)
     result = march(lv.system, lv.c, liouville_boundary(spec))
-    assert result.corrector_iterations == (4,) * 3 + (3,) * 17 + (2,) * 12
+    assert result.corrector_iterations == (5, 4, 4) + (3,) * 17 + (2,) * 12
     system = build_case(*SYSTEM_CASES["C-oddp"][1])
     spec = tk.GridSpec(0.0, 0.0, 1 / 32, 1 / 32, 33, 33)
     data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
     result = march(system, random_couplings(system, rng, scale=0.4), data)
-    assert result.corrector_iterations == (3,) * 4 + (2,) * 28
+    assert result.corrector_iterations == (4, 4, 3, 3) + (2,) * 28
 
 
 def test_slow_contraction_keeps_sweeping():
@@ -481,10 +482,9 @@ def test_slow_contraction_keeps_sweeping():
     assert err <= 1.5e-2  # 1.403e-2 when every column sweeps until delta <= tol
 
 
-def test_one_right_hand_side_per_sweep_after_the_second_column(rng, monkeypatch):
-    # the corrector of columns 1 and 2 starts from an Euler predictor, one more
-    # evaluation each; later columns start from the polynomial through the last
-    # columns, so the march evaluates its right-hand sides once per sweep
+def test_one_right_hand_side_per_sweep(rng, monkeypatch):
+    # every column starts from the polynomial through the last columns, so the
+    # march evaluates its right-hand sides once per corrector sweep
     class CountedPlan(StationPlan):
         calls = 0
 
@@ -498,7 +498,7 @@ def test_one_right_hand_side_per_sweep_after_the_second_column(rng, monkeypatch)
     data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
     result = march(system, random_couplings(system, rng, scale=0.4), data)
     assert len(result.corrector_iterations) == 32
-    assert CountedPlan.calls == sum(result.corrector_iterations) + 2
+    assert CountedPlan.calls == sum(result.corrector_iterations)
 
 
 def test_smooth_columns_take_one_sweep(rng):
@@ -530,15 +530,15 @@ def test_march_is_at_its_fixed_point(constraint_set, n, rng, monkeypatch):
 
 @pytest.mark.parametrize("factor, error", [(10.0, BlowUpError), (1.01, ConvergenceError)])
 def test_sweep_cap_classifies_the_widest_iterate(factor, error, monkeypatch):
-    # the first sweep of column 1 (after the two transfers of its Euler
-    # predictor) is scaled by `factor` per row, the second is not, so the
-    # corrector neither diverges nor contracts within a cap of two sweeps: the
-    # outcome depends on whether the widest iterate left the data's range
+    # the first sweep of column 1 (its two transfers) is scaled by `factor` per
+    # row, the second is not, so the corrector neither diverges nor contracts
+    # within a cap of two sweeps: the outcome depends on whether the widest
+    # iterate left the data's range
     calls = []
 
     def scaled(half):
         calls.append(half)
-        return factor * _cayley(half) if len(calls) in (3, 4) else _cayley(half)
+        return factor * _cayley(half) if len(calls) in (1, 2) else _cayley(half)
 
     monkeypatch.setattr(solver, "_cayley", scaled)
     monkeypatch.setattr(solver, "_MAX_CORRECTORS", 2)
@@ -546,8 +546,61 @@ def test_sweep_cap_classifies_the_widest_iterate(factor, error, monkeypatch):
     lv = liouville_field(spec)
     with pytest.raises(error) as info:
         march(lv.system, lv.c, liouville_boundary(spec))
-    assert len(calls) == 6
+    assert len(calls) == 4
     if error is BlowUpError:
         assert info.value.location[1] == 1
     else:
         assert "within 2 sweeps at column 1" in str(info.value)
+
+
+def test_jump_classifies_the_widest_iterate(monkeypatch):
+    # the first three sweeps of column 1 (two transfers each) are scaled by 10,
+    # 9.9 and 1 per row: the third jumps back into the data's range, but the
+    # first had left it
+    factors = (10.0, 10.0, 9.9, 9.9)
+    calls = []
+
+    def scaled(half):
+        calls.append(half)
+        return (factors[len(calls) - 1] if len(calls) <= 4 else 1.0) * _cayley(half)
+
+    monkeypatch.setattr(solver, "_cayley", scaled)
+    monkeypatch.setattr(solver, "_MAX_CORRECTORS", 3)
+    spec = _liouville_spec(9)
+    lv = liouville_field(spec)
+    with pytest.raises(BlowUpError) as info:
+        march(lv.system, lv.c, liouville_boundary(spec))
+    assert len(calls) == 6
+    assert info.value.location == (8, 1)
+
+
+@pytest.mark.parametrize("block", [0, 1])
+def test_non_finite_iterate_is_a_blow_up_at_its_row(block, monkeypatch):
+    # a NaN transfer at row 3 in the second sweep of column 1 makes rows 4 on
+    # of that block's iterate non-finite; in either block it fails that sweep
+    calls = []
+
+    def poisoned(half):
+        calls.append(half)
+        transfer = _cayley(half)
+        if len(calls) == 3 + block:
+            transfer[3] = np.nan
+        return transfer
+
+    monkeypatch.setattr(solver, "_cayley", poisoned)
+    spec = _liouville_spec(9)
+    lv = liouville_field(spec)
+    with pytest.raises(BlowUpError, match="lost finiteness") as info:
+        march(lv.system, lv.c, liouville_boundary(spec))
+    assert info.value.location == (4, 1)
+    assert f"block {block + 1}" in str(info.value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cayley_inverts_the_staggered_log_derivative(k, rng):
+    h = 0.125
+    eye = np.eye(k)
+    beta = eye + 0.3 * random_complex(rng, (9, k, k))
+    want = np.linalg.solve(beta[:-1], beta[1:])
+    got = _cayley((0.5 * h) * _staggered_log_derivative(beta, h))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
