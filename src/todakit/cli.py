@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .cartan import cartan_matrix
 from .exact import SingularMatrixError
 from .grading import DynkinLabels, graded_decomposition, levi_type, operator_from_labels
-from .liealg import SeriesTag
+from .liealg import SeriesTag, _max_abs
 from .solver import (
     BlowUpError,
     CharacteristicData,
@@ -411,9 +412,7 @@ def cmd_selftest(args) -> int:
     system = liouville_system()
     data = liouville_boundary(spec_c)
     result = march(system, coarse.c, data)
-    err = max(
-        float(np.max(np.abs(result.field.betas[a] - coarse.field.betas[a]))) for a in range(2)
-    )
+    err = max(_max_abs(result.field.betas[a] - coarse.field.betas[a]) for a in range(2))
     checks.append(("march reproduces closed form", err < 1e-3))
 
     ok = True
@@ -424,6 +423,11 @@ def cmd_selftest(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Python 3.13's rule: "-" then a digit is a value, so "--labels -1,0,0" reaches the label check
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # a usage error is invalid input: one line, exit 2
         raise ValueError(message)
 

@@ -1,23 +1,22 @@
 """Independent block equations of a Toda system as structured term lists.
 
-Each independent block carries one matrix equation; its right-hand side is
-a signed sum of products of block fields, coupling matrices, and (for the
-symplectic central block) the small antidiagonal symplectic form.  The same
-term lists drive the text/LaTeX/structured renderers, the block residual
-evaluator, and the characteristic solver, so what is printed is exactly
-what is computed.
+Each independent block carries one equation of the A-series chain; series
+B, C and D fold the first term of the central one by their constraints
+(with the small antidiagonal symplectic form for a symplectic centre).
+The same term lists drive the text/LaTeX/structured renderers and
+``StationPlan``, which evaluates them on arrays of block samples for the
+block residuals and the march (the caller inverts, with
+``liealg.batched_inverse``), so what is printed is exactly what is computed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
 
-from .exact import SingularMatrixError
-from .liealg import _SMALL_STACK, block_matmul, symplectic_form, t_transpose
+from .liealg import batched_inverse, block_matmul, symplectic_form, t_transpose
 
 
 @dataclass(frozen=True)
@@ -77,57 +76,29 @@ def _generic_terms(a: int, p: int) -> list[Term]:
     return terms
 
 
+def _folded_centre(system) -> Term:
+    """The first term of the central equation, folded by the constraints of
+    series B, C or D: the self-paired centre of odd p (twisted by the small
+    symplectic form for C) or the centre of even p, paired with its mirror."""
+    s = system.blocks.count // 2
+    if system.blocks.count % 2 == 0:
+        return Term(-1, (_beta(s, inverse=True), _c("+", s), _beta(s, inverse=True, twist="T"), _c("-", s)))
+    if system.constraint_set == "BD-oddp":
+        return Term(-1, (_beta(s + 1, twist="T"), _c("+", s, twist="T"), _beta(s, inverse=True, twist="T"),
+                         _c("-", s, twist="T")))
+    jf = Factor("form", system.blocks.sizes[s] // 2)
+    return Term(+1, (_beta(s + 1, inverse=True), jf, _c("+", s, twist="t"), _beta(s, inverse=True, twist="t"),
+                     _c("-", s, twist="t"), jf))
+
+
 def independent_equations(system) -> list[Equation]:
-    """One equation per independent block, with folded boundary forms."""
+    """One equation per independent block: the A-series chain, whose central
+    equation series B, C and D fold (its first term only)."""
     p = system.blocks.count
-    s = p // 2
-    cs = system.constraint_set
-    eqs = []
-    if cs == "A-none":
-        for a in range(1, p + 1):
-            eqs.append(Equation(a, tuple(_generic_terms(a, p))))
-        return eqs
-    for a in range(1, s + 1 if p % 2 == 0 else s + 2):
-        if p % 2 == 1 and a == s + 1:
-            if cs == "BD-oddp":
-                terms = (
-                    Term(-1, (
-                        _beta(s + 1, twist="T"),
-                        _c("+", s, twist="T"),
-                        _beta(s, inverse=True, twist="T"),
-                        _c("-", s, twist="T"),
-                    )),
-                    Term(+1, (_c("-", s), _beta(s, inverse=True), _c("+", s), _beta(s + 1))),
-                )
-            else:  # C-oddp: the small symplectic form twists the folded term
-                m = system.blocks.sizes[s] // 2
-                jf = Factor("form", m)
-                terms = (
-                    Term(+1, (
-                        _beta(s + 1, inverse=True),
-                        jf,
-                        _c("+", s, twist="t"),
-                        _beta(s, inverse=True, twist="t"),
-                        _c("-", s, twist="t"),
-                        jf,
-                    )),
-                    Term(+1, (_c("-", s), _beta(s, inverse=True), _c("+", s), _beta(s + 1))),
-                )
-            eqs.append(Equation(s + 1, terms))
-        elif p % 2 == 0 and a == s:
-            terms = [Term(-1, (
-                _beta(s, inverse=True),
-                _c("+", s),
-                _beta(s, inverse=True, twist="T"),
-                _c("-", s),
-            ))]
-            if s > 1:
-                terms.append(
-                    Term(+1, (_c("-", s - 1), _beta(s - 1, inverse=True), _c("+", s - 1), _beta(s)))
-                )
-            eqs.append(Equation(s, tuple(terms)))
-        else:
-            eqs.append(Equation(a, tuple(_generic_terms(a, p))))
+    count = p if system.constraint_set == "A-none" else (p + 1) // 2
+    eqs = [Equation(a, tuple(_generic_terms(a, p))) for a in range(1, count + 1)]
+    if count < p:
+        eqs[-1] = Equation(count, (_folded_centre(system), *eqs[-1].terms[1:]))
     return eqs
 
 
@@ -212,50 +183,14 @@ def emit_equations(system, fmt: str = "text"):
     return "\n".join(lines)
 
 
-def batched_inverse(values: np.ndarray) -> np.ndarray:
-    """Inverse of each matrix of a stack: a plain reciprocal for 1 x 1 matrices
-    and, on stacks of at least ``liealg._SMALL_STACK`` 2 x 2 matrices, the
-    adjugate over the determinant.
-
-    This is the one inverse of block samples.  On an exactly singular matrix
-    it raises ``SingularMatrixError`` whose ``index`` locates the first such
-    matrix in row-major order of the leading axes.  A 2 x 2 stack whose
-    determinant or its reciprocal is not finite (a zero, an overflow or an
-    underflow) takes the general path, which decides.
-    """
-    if values.shape[-2:] == (1, 1):
-        if values.all():
-            return 1.0 / values
-    else:
-        if values.shape[-2:] == (2, 2) and math.prod(values.shape[:-2]) >= _SMALL_STACK:
-            a, b, c, d = values[..., 0, 0], values[..., 0, 1], values[..., 1, 0], values[..., 1, 1]
-            with np.errstate(all="ignore"):
-                det = a * d - b * c
-                inv_det = 1.0 / det
-            if np.isfinite(det).all() and np.isfinite(inv_det).all():
-                out = np.empty(values.shape, inv_det.dtype)
-                out[..., 0, 0], out[..., 0, 1] = d * inv_det, -b * inv_det
-                out[..., 1, 0], out[..., 1, 1] = -c * inv_det, a * inv_det
-                return out
-        try:
-            return np.linalg.inv(values)
-        except np.linalg.LinAlgError:
-            pass
-    for index in np.ndindex(values.shape[:-2]):
-        try:
-            np.linalg.inv(values[index])
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(f"singular block sample at {index}", index) from None
-    raise SingularMatrixError("singular block sample")
-
-
 class StationPlan:
     """The right-hand sides of a list of equations, compiled for evaluation
     at many stations.
 
     The plan is read off the structured term lists: every distinct factor is
-    resolved once per evaluation, each distinct inverted field is asked of
-    the caller once, the forms are built once here and twists are views.
+    looked up once per evaluation, the forms are built once here and twists
+    are views.  ``inverted`` names the blocks whose inverses the terms take,
+    in the order they first do; the caller supplies those inverses.
     """
 
     def __init__(self, equations):
@@ -270,33 +205,30 @@ class StationPlan:
                 for t in eq.terms
             ))
         self._terms = tuple(terms)
-        self._factors = tuple(slots)
-        sources: dict[tuple, int] = {}
-        self._source_of = tuple(
-            None if f.base == "form" else sources.setdefault((f.base, f.sign, f.index, f.inverse), len(sources))
-            for f in self._factors
+        self.inverted = tuple(dict.fromkeys(f.index for f in slots if f.inverse))
+        self._forms = {f.index: symplectic_form(f.index).astype(complex) for f in slots if f.base == "form"}
+        # per slot: the input of ``evaluate`` that holds it, its key there and its twist
+        self._slots = tuple(
+            ("form", f.index, f.twist) if f.base == "form"
+            else (f.sign if f.base == "c" else "inverse" if f.inverse else "beta", f.index - 1, f.twist)
+            for f in slots
         )
-        self._sources = tuple(sources)
-        self._forms = {
-            f.index: symplectic_form(f.index).astype(complex)
-            for f in self._factors if f.base == "form"
-        }
 
-    def evaluate(self, get_beta, get_inverse, get_c) -> list[np.ndarray]:
+    def evaluate(self, betas, inverses, c_minus, c_plus) -> list[np.ndarray]:
         """Right-hand side of each equation, in order.
 
-        ``get_beta(a)``, ``get_inverse(a)`` (the inverse of ``get_beta(a)``) and
-        ``get_c(sign, a)`` supply (batched) matrix values for the independent
-        blocks; factor products broadcast over leading axes.
+        ``betas``, ``inverses`` (their inverses, needed for the blocks in
+        ``inverted`` only), ``c_minus`` and ``c_plus`` hold (batched) matrix
+        values of the independent blocks, block a at key a - 1; factor
+        products broadcast over leading axes.
         """
-        resolved = [get_c(sign, index) if base == "c" else get_inverse(index) if inverse else get_beta(index)
-                    for base, sign, index, inverse in self._sources]
+        sources = {"beta": betas, "inverse": inverses, "-": c_minus, "+": c_plus, "form": self._forms}
         values = []
-        for factor, src in zip(self._factors, self._source_of):
-            value = self._forms[factor.index] if src is None else resolved[src]
-            if factor.twist == "T":
+        for source, key, twist in self._slots:
+            value = sources[source][key]
+            if twist == "T":
                 value = t_transpose(value)
-            elif factor.twist == "t":
+            elif twist == "t":
                 value = np.swapaxes(value, -1, -2)
             values.append(value)
         out = []
@@ -315,6 +247,11 @@ def evaluate_rhs(equation: Equation, get_beta, get_c) -> np.ndarray:
     """Numeric right-hand side of one block equation (a one-equation ``StationPlan``).
 
     ``get_beta(a)`` and ``get_c(sign, a)`` supply (batched) matrix values for
-    the independent blocks; factor products broadcast over leading axes.
+    the independent blocks; each is asked once for each block the equation
+    names, and factor products broadcast over leading axes.
     """
-    return StationPlan((equation,)).evaluate(get_beta, lambda a: batched_inverse(get_beta(a)), get_c)[0]
+    plan = StationPlan((equation,))
+    named = dict.fromkeys((f.sign, f.index) for t in equation.terms for f in t.factors if f.base != "form")
+    betas = {a - 1: get_beta(a) for sign, a in named if not sign}
+    c_minus, c_plus = ({a - 1: get_c(sign, a) for sign, a in named if sign == s} for s in "-+")
+    return plan.evaluate(betas, {a - 1: batched_inverse(betas[a - 1]) for a in plan.inverted}, c_minus, c_plus)[0]

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exact import ShapeError
+from .exact import ShapeError, SingularMatrixError
 
 _MIN_RANK = {"A": 1, "B": 2, "C": 1, "D": 3}
 
@@ -147,6 +147,43 @@ def block_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def batched_inverse(values: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a stack: a plain reciprocal for 1 x 1 matrices
+    and, on stacks of at least ``_SMALL_STACK`` 2 x 2 matrices, the
+    adjugate over the determinant.
+
+    This is the one inverse of block samples.  On an exactly singular matrix
+    it raises ``SingularMatrixError`` whose ``index`` locates the first such
+    matrix in row-major order of the leading axes.  A 2 x 2 stack whose
+    determinant or its reciprocal is not finite (a zero, an overflow or an
+    underflow) takes the general path, which decides.
+    """
+    if values.shape[-2:] == (1, 1):
+        if values.all():
+            return 1.0 / values
+    else:
+        if values.shape[-2:] == (2, 2) and math.prod(values.shape[:-2]) >= _SMALL_STACK:
+            a, b, c, d = values[..., 0, 0], values[..., 0, 1], values[..., 1, 0], values[..., 1, 1]
+            with np.errstate(all="ignore"):
+                det = a * d - b * c
+                inv_det = 1.0 / det
+            if np.isfinite(det).all() and np.isfinite(inv_det).all():
+                out = np.empty(values.shape, inv_det.dtype)
+                out[..., 0, 0], out[..., 0, 1] = d * inv_det, -b * inv_det
+                out[..., 1, 0], out[..., 1, 1] = -c * inv_det, a * inv_det
+                return out
+        try:
+            return np.linalg.inv(values)
+        except np.linalg.LinAlgError:
+            pass
+    for index in np.ndindex(values.shape[:-2]):
+        try:
+            np.linalg.inv(values[index])
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(f"singular block sample at {index}", index) from None
+    raise SingularMatrixError("singular block sample")
+
+
 def t_transpose(a: np.ndarray) -> np.ndarray:
     """Antidiagonal-twisted transpose: flip both axes, then transpose.
 
@@ -165,7 +202,7 @@ def _max_abs(a):
         return 0.0
     if a.dtype == object:
         return max(abs(entry) for entry in a.flat)
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def _is_exact(a: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ The march holds one array per independent block and loops over the blocks
 at every step of a column.  The right-hand sides come from a
 ``StationPlan`` compiled once per march; every product of block samples
 goes through ``liealg.block_matmul`` and every inverse through
-``equations.batched_inverse`` (a reciprocal for 1 x 1 blocks, the adjugate
+``liealg.batched_inverse`` (a reciprocal for 1 x 1 blocks, the adjugate
 for long stacks of 2 x 2 ones); the Cayley transfer is 2 (I - a)^{-1} - I
 and 1 x 1 prefix products a cumulative product.  An exactly singular
 sample met on the way (at the half-point initialisation, a station or a
@@ -37,9 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import StationPlan, batched_inverse, independent_equations
+from .equations import StationPlan, independent_equations
 from .exact import SingularMatrixError
-from .liealg import SeriesTag, _max_abs, block_matmul, form_defect
+from .liealg import SeriesTag, _max_abs, batched_inverse, block_matmul, form_defect
 from .toda import (
     CBlocks,
     DomainError,
@@ -116,8 +116,7 @@ class CharacteristicData:
         object.__setattr__(self, "left", tuple(left))
         object.__setattr__(self, "bottom", tuple(bottom))
         for a, (lft, bot) in enumerate(zip(left, bottom), start=1):
-            scale = 1.0 + float(np.max(np.abs(lft[0])))
-            if float(np.max(np.abs(lft[0] - bot[0]))) > 1e-12 * scale:
+            if _max_abs(lft[0] - bot[0]) > 1e-12 * (1.0 + _max_abs(lft[0])):
                 raise ValueError(f"corner samples of block {a} disagree")
 
 
@@ -240,24 +239,18 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     form = None if form is None else form.astype(complex)
 
     # couplings at the stations: C_- lines at the row half-points, C_+ lines at
-    # the column midpoints (picked by column in get_c)
-    c_half = {
-        sign: [0.5 * (e[:-1] + e[1:]) for e in _c_samples(c, sign, lines)]
-        for sign, lines in (("-", ni), ("+", nj))
-    }
+    # the column midpoints (picked by column in rhs_half)
+    c_minus, c_plus = ([0.5 * (e[:-1] + e[1:]) for e in _c_samples(c, sign, lines)]
+                       for sign, lines in (("-", ni), ("+", nj)))
 
     def rhs_half(beta_cols: list[np.ndarray], j: int) -> list[np.ndarray]:
         """Right-hand sides at the (row half-point, column midpoint) stations."""
-        beta_half = [0.5 * (col[:-1] + col[1:]) for col in beta_cols]
-
-        def get_c(sign, a):
-            entry = c_half[sign][a - 1]
-            return entry[j] if sign == "+" else entry
-
+        half = [0.5 * (col[:-1] + col[1:]) for col in beta_cols]
         try:
-            return plan.evaluate(lambda a: beta_half[a - 1], lambda a: batched_inverse(beta_half[a - 1]), get_c)
+            inverses = {a - 1: batched_inverse(half[a - 1]) for a in plan.inverted}
         except SingularMatrixError as exc:
             raise BlowUpError("singular half-point average at a station", (exc.index[0], j)) from exc
+        return plan.evaluate(half, inverses, c_minus, [e[j] for e in c_plus])
 
     def integrate_lines(u_half: list[np.ndarray], j: int) -> list[np.ndarray]:
         """Solve d_- beta = beta u along column j + 1 with the implicit midpoint rule:
@@ -339,9 +332,9 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
         i = _nonfinite_row(column)
         if i is not None:
             raise BlowUpError(f"block {a + 1} lost finiteness while diverging", (i, j))
-        magnitude = np.max(np.abs(column), axis=(-1, -2))
+        magnitude = np.abs(column).max(axis=(-1, -2))
         try:
-            inv_mag = np.max(np.abs(batched_inverse(column)), axis=(-1, -2))
+            inv_mag = np.abs(batched_inverse(column)).max(axis=(-1, -2))
         except SingularMatrixError as exc:
             raise BlowUpError(f"block {a + 1} became singular while diverging",
                               (exc.index[0], j)) from exc
@@ -382,7 +375,7 @@ def _check_health(columns: list[np.ndarray], j: int):
         if i is not None:
             raise BlowUpError(f"non-finite sample in block {a + 1}", (i, j))
         cond = _cond_bound(column)
-        magnitude = np.max(np.abs(column), axis=(-1, -2))
+        magnitude = np.abs(column).max(axis=(-1, -2))
         bad = (cond > _COND_LIMIT) | (magnitude > _COND_LIMIT)
         if np.any(bad):
             i = int(np.argmax(bad))

@@ -23,10 +23,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .equations import StationPlan, batched_inverse, emit_equations, independent_equations
+from .equations import StationPlan, emit_equations, independent_equations
 from .exact import ShapeError
 from .grading import BlockStructure, GradationError, canonical_block_operator
-from .liealg import SeriesTag, _integers, _max_abs, block_matmul, form_defect, invariant_form, t_transpose
+from .liealg import (
+    SeriesTag, _integers, _max_abs, batched_inverse, block_matmul, form_defect, invariant_form, t_transpose,
+)
 
 __all__ = [
     "ConstraintError",
@@ -260,11 +262,6 @@ def assemble_c(system: TodaSystem, c: CBlocks, sign: str) -> np.ndarray:
     return _place_blocks(system, entries, -1 if sign == "-" else 1)
 
 
-def _c_lines(system: TodaSystem, c: CBlocks, sign: str, count: int) -> np.ndarray:
-    """Coupling matrices materialized on each line of the relevant chirality."""
-    return _place_blocks(system, _c_samples(c, sign, count), -1 if sign == "-" else 1)
-
-
 # ---------------------------------------------------------------------------
 # block-diagonal fields
 
@@ -473,8 +470,8 @@ def _connection_parts(system: TodaSystem, field: GridField, c: CBlocks):
     _check_inputs(system, c, field)
     spec = field.spec
     gamma, gamma_inv = (_place_blocks(system, blocks, 0) for blocks in _completed(system, field.betas, None))
-    cm = _c_lines(system, c, "-", spec.n_minus)
-    cp = _c_lines(system, c, "+", spec.n_plus)
+    cm = _place_blocks(system, _c_samples(c, "-", spec.n_minus), -1)
+    cp = _place_blocks(system, _c_samples(c, "+", spec.n_plus), 1)
     return _log_derivative(gamma, gamma_inv, spec.h_minus), cm, gamma_inv @ cp[None, :] @ gamma
 
 
@@ -502,23 +499,12 @@ def block_residuals(system: TodaSystem, field: GridField, c: CBlocks) -> Residua
     spec = field.spec
     betas = field.betas
     inverses = _completed(system, betas, None)[1]
-
-    def get_beta(a):
-        return betas[a - 1][1:-1, 1:-1]
-
-    samples = {"-": _c_samples(c, "-", spec.n_minus), "+": _c_samples(c, "+", spec.n_plus)}
-
-    def get_c(sign, a):
-        entry = samples[sign][a - 1][1:-1]
-        return entry[:, None] if sign == "-" else entry[None, :]
-
-    def get_inverse(a):
-        return inverses[a - 1][1:-1, 1:-1]
-
     plan = StationPlan(independent_equations(system))
-    grids = []
-    labels = []
-    for eq, rhs in zip(plan.equations, plan.evaluate(get_beta, get_inverse, get_c)):
+    values = plan.evaluate([b[1:-1, 1:-1] for b in betas], [x[1:-1, 1:-1] for x in inverses],
+                           [e[1:-1, None] for e in _c_samples(c, "-", spec.n_minus)],
+                           [e[None, 1:-1] for e in _c_samples(c, "+", spec.n_plus)])
+    grids, labels = [], []
+    for eq, rhs in zip(plan.equations, values):
         a = eq.block
         u = _log_derivative(betas[a - 1], inverses[a - 1], spec.h_minus)
         dpu = _interior_dplus(u, spec.h_plus)

@@ -108,6 +108,12 @@ def test_usage_error_is_one_input_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("todakit: error[input]: ")
 
 
+def test_negative_label_reaches_the_label_check(capsys):
+    # "-1,0,0" is a value, not an option: "-" followed by a digit, as in Python 3.13's argparse
+    assert main(["grade", "--series", "B", "--rank", "3", "--labels", "-1,0,0"]) == 2
+    assert capsys.readouterr().err == "todakit: error[input]: labels must be nonnegative\n"
+
+
 def test_help_prints_usage_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["grade", "--help"])

@@ -8,10 +8,12 @@ import todakit as tk
 from todakit import equations
 from todakit.equations import StationPlan, evaluate_rhs, independent_equations
 from todakit.exact import SingularMatrixError
-from todakit.liealg import _SMALL_STACK, antidiag_unit, symplectic_form, t_transpose
+from todakit.liealg import _SMALL_STACK, antidiag_unit, batched_inverse, symplectic_form, t_transpose
 from todakit.toda import ConstraintError, emit_equations
 
-from conftest import ALL_CASES, build_case, line_couplings, random_complex, random_couplings, smooth_closure
+from conftest import (
+    ALL_CASES, build_case, line_couplings, random_complex, random_couplings, smooth_closure, unit_step_cases,
+)
 
 
 def test_two_block_chain_equations():
@@ -172,7 +174,9 @@ def test_station_plan_matches_reference_evaluator(case, lines, rng):
 
     eqs = independent_equations(system)
     plan = StationPlan(eqs)
-    for eq, got in zip(eqs, plan.evaluate(get_beta, lambda a: np.linalg.inv(get_beta(a)), get_c)):
+    got_all = plan.evaluate(field.betas, [np.linalg.inv(beta) for beta in field.betas],
+                            *([get_c(sign, a + 1) for a in range(len(c.minus))] for sign in "-+"))
+    for eq, got in zip(eqs, got_all):
         want = _reference_rhs(eq, get_beta, get_c)
         scale = np.max(np.abs(want))
         assert got.shape == want.shape
@@ -182,32 +186,55 @@ def test_station_plan_matches_reference_evaluator(case, lines, rng):
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=str)
-def test_station_plan_inverts_each_distinct_field_once(case, rng, monkeypatch):
+def test_station_plan_inverts_each_distinct_field_once(case, rng):
     system = build_case(*case)
     eqs = independent_equations(system)
     inverted = {f.index for eq in eqs for t in eq.terms for f in t.factors if f.inverse}
-    calls = []
-
-    def get_inverse(a):
-        calls.append(a)
-        return np.linalg.inv(betas[a - 1])
-
-    def no_inverse(values):
-        raise AssertionError("the plan takes its inverses from its caller")
-
-    monkeypatch.setattr(equations, "batched_inverse", no_inverse)
     betas = [np.eye(k) + 0.1 * rng.standard_normal((5, k, k)) for k in system.blocks.sizes]
     c = random_couplings(system, rng)
-    StationPlan(eqs).evaluate(lambda a: betas[a - 1], get_inverse,
-                              lambda sign, a: (c.minus if sign == "-" else c.plus)[a - 1])
-    assert sorted(calls) == sorted(inverted)
+    plan = StationPlan(eqs)
+    assert sorted(plan.inverted) == sorted(inverted)
+    # a dict of exactly the inverses the plan names: asking for any other fails
+    plan.evaluate(betas, {a - 1: np.linalg.inv(betas[a - 1]) for a in plan.inverted}, c.minus, c.plus)
+
+
+def test_station_plan_lists_its_inverted_blocks_in_first_use_order():
+    for case in unit_step_cases(4):
+        eqs = independent_equations(build_case(*case))
+        order = []
+        for f in (f for eq in eqs for term in eq.terms for f in term.factors):
+            if f.inverse and f.index not in order:
+                order.append(f.index)
+        assert StationPlan(eqs).inverted == tuple(order), case
+
+
+@pytest.mark.parametrize("case", ALL_CASES, ids=str)
+def test_evaluate_rhs_asks_only_for_the_blocks_its_equation_names(case, rng):
+    system = build_case(*case)
+    betas = [np.eye(k) + 0.1 * rng.standard_normal((5, k, k)) for k in system.blocks.sizes]
+    c = random_couplings(system, rng)
+    calls = []
+
+    def get_beta(a):
+        calls.append(("", a))
+        return betas[a - 1]
+
+    def get_c(sign, a):
+        calls.append((sign, a))
+        return (c.minus if sign == "-" else c.plus)[a - 1]
+
+    for eq in independent_equations(system):
+        calls.clear()
+        evaluate_rhs(eq, get_beta, get_c)
+        named = {(f.sign, f.index) for t in eq.terms for f in t.factors if f.base != "form"}
+        assert sorted(calls) == sorted(named)  # each named block once, and no other
 
 
 def test_batched_inverse_scalar_path():
     values = np.array([[[2.0 + 1.0j]], [[-0.5]]])
-    assert np.allclose(equations.batched_inverse(values), np.linalg.inv(values), rtol=1e-15)
+    assert np.allclose(batched_inverse(values), np.linalg.inv(values), rtol=1e-15)
     with pytest.raises(SingularMatrixError) as info:
-        equations.batched_inverse(np.array([[[1.0]], [[0.0]]]))
+        batched_inverse(np.array([[[1.0]], [[0.0]]]))
     assert info.value.index == (1,)
 
 
@@ -216,14 +243,14 @@ def test_batched_inverse_two_by_two(rng):
     for stack in (values, values.real, values[:, :4], values[0, 0]):
         want = np.linalg.inv(stack)
         scale = np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(want, axis=(-2, -1)) ** 2
-        err = np.max(np.abs(equations.batched_inverse(stack) - want), axis=(-2, -1))
+        err = np.max(np.abs(batched_inverse(stack) - want), axis=(-2, -1))
         assert np.all(err <= 1e-15 * scale)  # within round-off of the condition number
     # exactly singular samples at (1, 2) and (2, 0): the first in row-major order is named
     values[1, 2] = [[1.0, 2.0], [2.0, 4.0]]
     values[2, 0] = 0.0
     for stack in (values, values[:, :4]):
         with pytest.raises(SingularMatrixError) as info:
-            equations.batched_inverse(stack)
+            batched_inverse(stack)
         assert info.value.index == (1, 2)
 
 
@@ -233,7 +260,7 @@ def test_batched_inverse_two_by_two_far_from_unit_scale(scale, rng):
     values = np.eye(2) + 0.3 * random_complex(rng, (_SMALL_STACK, 2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = equations.batched_inverse(scale * values)
+        got = batched_inverse(scale * values)
     want = np.linalg.inv(values)
     assert np.max(np.abs(scale * got - want)) <= 1e-14 * np.max(np.abs(want))
 
