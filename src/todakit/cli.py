@@ -1,12 +1,12 @@
 """Command-line front end: grade, equations, verify, solve, selftest.
 
-File formats are JSON with sorted keys and floats written with ``repr``, the
-shortest text that reads back to the same double, so identical inputs
-serialize to identical bytes.  Every complex array is stored as one flat
-row-major list of interleaved re, im floats; its shape comes from the
-document header (block sizes and grid size).  Exit codes: 0 ok, 1
-verification failed, 2 invalid input, 3 numeric degeneracy, 4 blow-up, 5
-non-convergence.
+File formats are JSON with sorted keys and exactly ``json.dumps``'s floats:
+``repr``, the shortest text that reads back to the same double (orjson
+produces the digits), so identical inputs serialize to identical bytes.
+Every complex array is stored as one flat row-major list of interleaved re,
+im floats; its shape comes from the document header (block sizes and grid
+size).  Exit codes: 0 ok, 1 verification failed, 2 invalid input, 3 numeric
+degeneracy, 4 blow-up, 5 non-convergence.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import re
 import sys
 
 import numpy as np
+import orjson
 
 from .cartan import cartan_matrix
 from .exact import SingularMatrixError
@@ -60,12 +61,29 @@ EXIT_NO_CONVERGENCE = 5
 # deterministic JSON
 
 
-def _one_line(value) -> str:
-    """A scalar or a flat list of floats as one line of JSON."""
-    try:
-        return json.dumps(value, allow_nan=False)
-    except ValueError:
-        raise ValueError("non-finite float in output document") from None
+_CHUNK = 4096  # floats per orjson call: whole-list arrays and texts raise the peak memory
+
+
+def _float_list(values) -> str:
+    """``json.dumps(values)`` for a nonempty list of floats: orjson's digits, and ``repr``
+    for the values that ``repr`` writes with an exponent (nonzero |x| < 1e-4 and
+    |x| >= 1e16), which orjson spells otherwise."""
+    parts = [b"["]
+    for start in range(0, len(values), _CHUNK):
+        chunk = np.array(values[start:start + _CHUNK], dtype=float)
+        if not np.isfinite(chunk).all():  # orjson would write null
+            raise ValueError("non-finite float in output document")
+        raw = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
+        mag = np.abs(chunk)
+        marks = np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist()
+        if marks:  # value i sits between bounds[i] and bounds[i + 1]: "[", the commas, "]"
+            bounds = [0, *np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(",")).tolist(), len(raw) - 1]
+            raw = bytearray(raw)
+            for i in reversed(marks):  # from the back, so the bounds before i stay put
+                raw[bounds[i] + 1:bounds[i + 1]] = repr(values[start + i]).encode()
+        parts += raw[1:-1].replace(b",", b", "), b", "
+    parts[-1] = b"]"
+    return b"".join(parts).decode()
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
@@ -84,10 +102,13 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if set(map(type, obj)) == {float}:
-            return _one_line(obj)
+            return _float_list(obj)
         parts = [f"{inner}{dumps_deterministic(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _one_line(obj)
+    try:  # a scalar
+        return json.dumps(obj, allow_nan=False)
+    except ValueError:
+        raise ValueError("non-finite float in output document") from None
 
 
 def matrix_to_json(arr: np.ndarray) -> list[float]:
@@ -265,7 +286,8 @@ def _load_json(path: str) -> dict:
 
 def _write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write(text)
+        handle.write("\n")  # text + "\n" would copy the whole document
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from todakit.cli import (
 from todakit.solver import liouville_boundary, liouville_field
 from todakit.toda import emit_equations
 
-from conftest import singular_station_case
+from conftest import boundary_from_closure, random_couplings, singular_station_case, smooth_closure
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -499,15 +500,20 @@ def _reference_scalar(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _reference_dumps(obj, indent: int = 0) -> str:
-    """The recursive writer, one call per list and per scalar; a list of floats on one line."""
+def _element_by_element(values) -> str:
+    return "[" + ", ".join(_reference_scalar(item) for item in values) + "]"
+
+
+def _reference_dumps(obj, indent: int = 0, float_list=_element_by_element) -> str:
+    """The recursive writer, one call per list and per scalar; a list of floats
+    on one line, written by ``float_list``."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(key))}: {_reference_dumps(obj[key], indent + 1)}"
+            f"{inner}{json.dumps(str(key))}: {_reference_dumps(obj[key], indent + 1, float_list)}"
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
@@ -515,8 +521,8 @@ def _reference_dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if all(type(item) is float for item in obj):
-            return "[" + ", ".join(_reference_scalar(item) for item in obj) + "]"
-        parts = [f"{inner}{_reference_dumps(item, indent + 1)}" for item in obj]
+            return float_list(obj)
+        parts = [f"{inner}{_reference_dumps(item, indent + 1, float_list)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     return _reference_scalar(obj)
 
@@ -591,6 +597,83 @@ def test_dumps_rejects_non_finite_float_in_array(arr, bad, data):
     parent[last] = bad
     with pytest.raises(ValueError, match="non-finite"):
         dumps_deterministic({"betas": [arr]})
+
+
+# ---------------------------------------------------------------------------
+# float lists: json.dumps's bytes from orjson's digits
+#
+# These pin the writer to ``json.dumps`` byte for byte, so they also catch an
+# orjson release that lays out its floats differently.
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(_floats, max_size=40))
+def test_float_list_is_json_dumps(xs):
+    assert dumps_deterministic(xs) == json.dumps(xs)
+
+
+def _below(x: float) -> float:
+    """The next float towards zero."""
+    return float(np.nextafter(x, 0.0))
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+_EDGE_FLOATS = [
+    v for x in (1e-4, 1e16) for v in (x, -x, _below(x), -_below(x))
+] + [
+    v for x in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308) for v in (x, -x)
+] + [0.0, -0.0, 1.0]
+
+
+def test_float_list_is_json_dumps_on_bit_patterns_and_edges():
+    rng = np.random.default_rng(25)
+    bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)
+    xs = bits[np.isfinite(bits)].tolist() + _EDGE_FLOATS
+    assert dumps_deterministic(xs) == json.dumps(xs)
+    for x in _EDGE_FLOATS:
+        assert dumps_deterministic([x]) == json.dumps([x])
+    # lists around the 4096-float chunk, with edge values at the seams
+    for size in (4095, 4096, 4097):
+        ys = (rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)).tolist()
+        for at in (0, size - 2, size - 1):
+            ys[at] = _EDGE_FLOATS[at % len(_EDGE_FLOATS)]
+        assert dumps_deterministic(ys) == json.dumps(ys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 4095, 4096, 4196])
+def test_float_list_rejects_non_finite_anywhere(bad, at):
+    xs = [0.5] * 4197
+    xs[at] = bad
+    with pytest.raises(ValueError, match="^non-finite float in output document$"):
+        dumps_deterministic(xs)
+
+
+_EXPONENT_FORM = re.compile(r"\de[-+]\d")
+
+
+def test_solve_writes_json_dumps_bytes_with_exponent_form_floats(tmp_path, capsys):
+    # C3 (1,1,2,1,1) at n = 9 from boundary data near the identity, so the
+    # imaginary parts (about 1e-5) are written in exponent form
+    rng = np.random.default_rng(25)
+    system = tk.build_system(tk.SeriesTag("C", 3), (1, 1, 2, 1, 1))
+    spec = tk.GridSpec(0.0, 0.0, 1 / 8, 1 / 8, 9, 9)
+    data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=1e-5))
+    c = random_couplings(system, rng, scale=0.4)
+    system_file, boundary_file, out_file = (tmp_path / f"{name}.json" for name in ("s", "b", "out"))
+    write_json(system_file, system_to_document(system, c))
+    write_json(boundary_file, boundary_to_document(system, data))
+    assert main(["solve", "--system", str(system_file), "--boundary", str(boundary_file),
+                 "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    text = out_file.read_text()
+    assert _EXPONENT_FORM.search(text)
+    lists = [line.strip().rstrip(",") for line in text.splitlines() if line.strip().startswith("[")]
+    assert len(lists) == system.independent_beta_count
+    for line in lists:
+        assert line == json.dumps(json.loads(line))
+    # the writer before orjson: json.dumps for each float list
+    assert text == _reference_dumps(json.loads(text), float_list=json.dumps) + "\n"
 
 
 # ---------------------------------------------------------------------------
