@@ -5,8 +5,10 @@ File formats are JSON with sorted keys and exactly ``json.dumps``'s floats:
 produces the digits), so identical inputs serialize to identical bytes.
 Every complex array is stored as one flat row-major list of interleaved re,
 im floats; its shape comes from the document header (block sizes and grid
-size).  Exit codes: 0 ok, 1 verification failed, 2 invalid input, 3 numeric
-degeneracy, 4 blow-up, 5 non-convergence.
+size); a document being written holds it as a flat float64 array, which takes
+one line, while every other list takes one item per line.  Exit codes: 0 ok,
+1 verification failed, 2 invalid input, 3 numeric degeneracy (or a reported
+norm out of range), 4 blow-up, 5 non-convergence.
 """
 
 from __future__ import annotations
@@ -61,33 +63,29 @@ EXIT_NO_CONVERGENCE = 5
 # deterministic JSON
 
 
-_CHUNK = 4096  # floats per orjson call: whole-list arrays and texts raise the peak memory
+_CHUNK = 4096  # floats per orjson call: one call per list raised the peak memory
 
 
-def _float_list(values) -> str:
-    """``json.dumps(values)`` for a nonempty list of floats: orjson's digits, and ``repr``
-    for the values that ``repr`` writes with an exponent (nonzero |x| < 1e-4 and
-    |x| >= 1e16), which orjson spells otherwise."""
-    parts = [b"["]
+def _float_list(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` for a flat float64 array: orjson's digits, and
+    ``repr`` for the values that ``repr`` writes with an exponent (nonzero |x| < 1e-4
+    and |x| >= 1e16), which orjson spells otherwise."""
+    parts = []
     for start in range(0, len(values), _CHUNK):
-        chunk = np.array(values[start:start + _CHUNK], dtype=float)
+        chunk = values[start:start + _CHUNK]
         if not np.isfinite(chunk).all():  # orjson would write null
             raise ValueError("non-finite float in output document")
-        raw = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)
+        items = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         mag = np.abs(chunk)
-        marks = np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist()
-        if marks:  # value i sits between bounds[i] and bounds[i + 1]: "[", the commas, "]"
-            bounds = [0, *np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(",")).tolist(), len(raw) - 1]
-            raw = bytearray(raw)
-            for i in reversed(marks):  # from the back, so the bounds before i stay put
-                raw[bounds[i] + 1:bounds[i + 1]] = repr(values[start + i]).encode()
-        parts += raw[1:-1].replace(b",", b", "), b", "
-    parts[-1] = b"]"
-    return b"".join(parts).decode()
+        for i in np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist():
+            items[i] = repr(float(chunk[i]))
+        parts.append(", ".join(items))
+    return "[" + ", ".join(parts) + "]"
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
-    """JSON text with sorted keys and ``repr`` floats; a list of floats takes one line."""
+    """JSON text with sorted keys and ``repr`` floats; a flat float64 array takes one
+    line, and a list one item per line."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -98,11 +96,11 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim == 1:
+        return _float_list(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if set(map(type, obj)) == {float}:
-            return _float_list(obj)
         parts = [f"{inner}{dumps_deterministic(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     try:  # a scalar
@@ -111,9 +109,9 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
         raise ValueError("non-finite float in output document") from None
 
 
-def matrix_to_json(arr: np.ndarray) -> list[float]:
-    """Flat row-major list of interleaved re, im floats."""
-    return np.ascontiguousarray(arr, complex).view(float).ravel().tolist()
+def matrix_to_json(arr: np.ndarray) -> np.ndarray:
+    """A new flat row-major float64 array of interleaved re, im parts."""
+    return np.array(arr, complex, order="C").view(float).ravel()
 
 
 def json_to_matrix(data, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -339,7 +337,7 @@ def cmd_grade(args) -> int:
 def _system_from_args(args) -> tuple[TodaSystem, CBlocks | None]:
     if getattr(args, "system", None):
         return system_from_document(_load_json(args.system))
-    if not (args.series and args.rank and args.blocks):
+    if None in (args.series, args.rank, args.blocks):
         raise ValueError("provide --system FILE or all of --series/--rank/--blocks")
     tag = SeriesTag(args.series, args.rank)
     system = build_system(tag, _parse_csv_ints(args.blocks, "--blocks"))
@@ -358,10 +356,14 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--tol must be a finite number >= 0, got {args.tol}")
     system, c = system_from_document(_load_json(args.system))
     field = grid_from_document(_load_json(args.grid), system)
-    blocks = block_residuals(system, field, c)
-    full = residual_full(system, field, c)
-    om, op_ = connection(system, field, c)
-    curv = curvature_residual(om, op_, field.spec)
+    with np.errstate(all="ignore"):  # a norm out of range is reported below
+        blocks = block_residuals(system, field, c)
+        full = residual_full(system, field, c)
+        om, op_ = connection(system, field, c)
+        curv = curvature_residual(om, op_, field.spec)
+    if not all(map(math.isfinite, (*blocks.max_norms, *blocks.l2_norms, full.max_norm, full.l2_norm,
+                                   curv.max_norm, curv.l2_norm))):
+        raise FloatingPointError("residual or curvature norm is not finite")
     verdict = full.max_norm <= args.tol
     if args.format == "structured":
         doc = {
@@ -393,9 +395,12 @@ def cmd_solve(args) -> int:
             f"--grid {args.grid} does not match the boundary file "
             f"({data.spec.n_minus} x {data.spec.n_plus})"
         )
-    result = march(system, c, data)
-    _write_text(args.out, dumps_deterministic(grid_to_document(system, result.field)))
+    with np.errstate(all="ignore"):  # march classifies non-finite samples itself
+        result = march(system, c, data)
     res = result.residual
+    if not (math.isfinite(res.max_norm) and math.isfinite(res.l2_norm)):
+        raise FloatingPointError(f"achieved residual is not finite (max {res.max_norm}, l2 {res.l2_norm})")
+    _write_text(args.out, dumps_deterministic(grid_to_document(system, result.field)))
     print(f"wrote {args.out}")
     print(f"achieved residual max {res.max_norm:.6e} (l2 {res.l2_norm:.6e})")
     print(
@@ -503,7 +508,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # JSON, shape, constraint, gradation, domain errors too
         print(f"todakit: error[input]: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except SingularMatrixError as exc:
+    except (SingularMatrixError, FloatingPointError) as exc:  # a non-finite reported norm too
         print(f"todakit: error[degenerate]: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except BlowUpError as exc:

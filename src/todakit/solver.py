@@ -355,8 +355,9 @@ def _nonfinite_row(column: np.ndarray) -> int | None:
 
 
 def _cond_bound(column: np.ndarray) -> np.ndarray:
-    """||beta||_F ||beta^{-1}||_F >= cond_2 of each sample of a finite column;
-    inf from its first singular sample on."""
+    """||beta||_F ||beta^{-1}||_F >= cond_2 of each sample of a finite column, scaled to
+    a largest entry of 1 so neither norm under- or overflows; inf from its first singular sample on."""
+    column = column / np.maximum(np.abs(column).max(axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
     norm = np.linalg.norm(column, axis=(-2, -1))
     try:
         return norm * np.linalg.norm(batched_inverse(column), axis=(-2, -1))

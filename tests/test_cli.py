@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import re
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import todakit as tk
@@ -75,6 +77,11 @@ def test_equations_inline_and_invalid(capsys):
     assert "Jtilde_1" in out
     assert main(["equations", "--series", "D", "--rank", "3", "--blocks", "1,2,2"]) == 2
     assert "error[input]" in capsys.readouterr().err
+
+
+def test_equations_rank_zero_names_the_rank_rule(capsys):
+    assert main(["equations", "--series", "A", "--rank", "0", "--blocks", "1,1"]) == 2
+    assert capsys.readouterr().err == "todakit: error[input]: series A requires rank >= 1, got 0\n"
 
 
 def test_main_reuses_one_parser(capsys, monkeypatch):
@@ -279,6 +286,38 @@ def test_solve_non_convergence_exit_code(tmp_path, capsys):
     assert "error[no-convergence]" in capsys.readouterr().err
 
 
+def _block_1_samples(value):
+    def mutate(doc):
+        for key in ("left", "bottom"):
+            doc[key][0] = [value, 0.0] * 9
+    return mutate
+
+
+@pytest.mark.parametrize("name, mutate, code", [
+    ("boundary_liouville_9x9.json", lambda doc: doc["grid"].update(h_minus=1e-300, h_plus=1e-300), 3),
+    ("grid_liouville_5x5.json", lambda doc: doc["grid"].update(h_minus=1e-320), 3),
+    ("boundary_liouville_9x9.json", lambda doc: doc["grid"].update(h_minus=1e300, h_plus=1e300), 4),
+    ("boundary_liouville_9x9.json", _block_1_samples(1e300), 4),
+    ("boundary_liouville_9x9.json", _block_1_samples(1e-300), 4),
+], ids=["solve-h-1e-300", "verify-h-1e-320", "solve-h-1e300", "solve-samples-1e300", "solve-samples-1e-300"])
+def test_extreme_finite_input_is_one_error_line(tmp_path, capsys, name, mutate, code):
+    # finite input whose residual norms or samples leave the float range: one
+    # error line, no numpy warning and no file written
+    doc = json.loads((GOLDEN / name).read_text())
+    mutate(doc)
+    doc_file, out_file = tmp_path / name, tmp_path / "out.json"
+    doc_file.write_text(json.dumps(doc))
+    system = str(GOLDEN / "system_liouville.json")
+    argv = (["verify", "--system", system, "--grid", str(doc_file)] if name.startswith("grid")
+            else ["solve", "--system", system, "--boundary", str(doc_file), "--out", str(out_file)])
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    kind = "degenerate" if code == 3 else "blow-up"
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith(f"todakit: error[{kind}]"), err
+    assert not out_file.exists()
+
+
 def _drop_grid(doc):
     del doc["grid"]
     return doc
@@ -417,13 +456,17 @@ def _mutants(doc):
             yield f"{path} -> {'dropped' if swap is _DROP else json.dumps(swap)}", mutant
 
 
-@pytest.mark.parametrize("name, argv", [
+# each golden document, and the command that reads it
+_READERS = pytest.mark.parametrize("name, argv", [
     ("system_liouville.json", ["equations", "--system", "{file}"]),
     ("boundary_liouville_9x9.json", ["solve", "--system", str(GOLDEN / "system_liouville.json"),
                                      "--boundary", "{file}", "--out", "{out}"]),
     ("grid_liouville_5x5.json", ["verify", "--system", str(GOLDEN / "system_liouville.json"),
                                  "--grid", "{file}"]),
 ], ids=["system", "boundary", "grid"])
+
+
+@_READERS
 def test_mutated_golden_documents_are_invalid_input(tmp_path, capsys, name, argv):
     doc_file, out_file = tmp_path / name, tmp_path / "out.json"
     args = [arg.format(file=doc_file, out=out_file) for arg in argv]
@@ -436,6 +479,70 @@ def test_mutated_golden_documents_are_invalid_input(tmp_path, capsys, name, argv
         if code != 2 or len(err) != 1 or not err[0].startswith("todakit: error[input]"):
             failures.append((label, code, err))
     assert len(mutants) > 100 and not failures, failures
+
+
+# the first number of the first float list, and that whole list
+_FIRST_NUMBER = re.compile(rb"(?m)^(\s*\[)-?[0-9][0-9.]*")
+_FIRST_FLOATS = re.compile(rb"(?m)^(\s*)\[-?[0-9][^\]\n]*\]")
+
+
+def _in_place_of(pattern: re.Pattern, text: bytes):
+    """The edit of a document that writes ``text`` over the first match of ``pattern``."""
+    return lambda raw: pattern.sub(lambda m: m[1] + text, raw, count=1)
+
+
+_LEXICAL_CORRUPTIONS = {
+    "literal-NaN": _in_place_of(_FIRST_NUMBER, b"NaN"),
+    "literal-Infinity": _in_place_of(_FIRST_NUMBER, b"Infinity"),
+    "literal--Infinity": _in_place_of(_FIRST_NUMBER, b"-Infinity"),
+    "1e400": _in_place_of(_FIRST_NUMBER, b"1e400"),
+    "lone-surrogate": lambda raw: raw.replace(b'"series": "A"', rb'"series": "\ud800"'),
+    "400-digit-float": _in_place_of(_FIRST_NUMBER, b"9" * 400),
+    "30-digit-rank": lambda raw: raw.replace(b'"rank": 1', b'"rank": ' + b"9" * 30),
+    "400-digit-rank": lambda raw: raw.replace(b'"rank": 1', b'"rank": ' + b"9" * 400),
+    "not-utf8": lambda raw: raw.replace(b'"kind"', b'"kind\xff"'),
+    "trailing-comma": lambda raw: raw.replace(b'"series": "A"', b'"series": "A",'),
+    "leading-zero": _in_place_of(_FIRST_NUMBER, b"01.5"),
+    "nested-2000": _in_place_of(_FIRST_FLOATS, b"[" * 2000 + b"]" * 2000),
+    "nested-200000": _in_place_of(_FIRST_FLOATS, b"[" * 200000 + b"]" * 200000),
+}
+
+
+def _run_on_bytes(tmp_path, name, argv, raw: bytes):
+    """(exit code, stdout, stderr lines) of ``argv`` reading ``raw`` as the document."""
+    doc_file, out_file = tmp_path / name, tmp_path / "out.json"
+    doc_file.write_bytes(raw)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([arg.format(file=doc_file, out=out_file) for arg in argv])
+    return code, stdout.getvalue(), stderr.getvalue().splitlines()
+
+
+@_READERS
+@pytest.mark.parametrize("corruption", list(_LEXICAL_CORRUPTIONS))
+def test_lexically_corrupt_documents_are_invalid_input(tmp_path, name, argv, corruption):
+    raw = (GOLDEN / name).read_bytes()
+    bad = _LEXICAL_CORRUPTIONS[corruption](raw)
+    assert bad != raw
+    code, out, err = _run_on_bytes(tmp_path, name, argv, bad)
+    assert code == 2 and out == "" and len(err) == 1 and err[0].startswith("todakit: error[input]"), err
+
+
+def test_thirty_digit_integer_in_a_float_list_is_valid(tmp_path):
+    raw = (GOLDEN / "system_liouville.json").read_bytes()
+    code, out, err = _run_on_bytes(tmp_path, "system.json", ["equations", "--system", "{file}"],
+                                   _in_place_of(_FIRST_NUMBER, b"9" * 30)(raw))
+    assert code == 0 and out and err == []
+
+
+@_READERS
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_golden_document_cut_short_is_invalid_input(tmp_path, name, argv, data):
+    raw = (GOLDEN / name).read_bytes().rstrip()
+    cut = data.draw(st.integers(0, len(raw) - 1), label="cut")  # short of the closing brace
+    code, out, err = _run_on_bytes(tmp_path, name, argv, raw[:cut])
+    assert code == 2 and out == "" and len(err) == 1 and err[0].startswith("todakit: error[input]"), err
 
 
 def test_missing_file_exit_code(capsys):
@@ -504,25 +611,36 @@ def _element_by_element(values) -> str:
     return "[" + ", ".join(_reference_scalar(item) for item in values) + "]"
 
 
-def _reference_dumps(obj, indent: int = 0, float_list=_element_by_element) -> str:
-    """The recursive writer, one call per list and per scalar; a list of floats
-    on one line, written by ``float_list``."""
+def _is_float_array(obj) -> bool:
+    return isinstance(obj, np.ndarray)
+
+
+def _is_float_list(obj) -> bool:
+    """The rule of the writer before documents held arrays: a nonempty list of
+    floats takes one line."""
+    return isinstance(obj, list) and bool(obj) and all(type(item) is float for item in obj)
+
+
+def _reference_dumps(obj, indent: int = 0, float_list=_element_by_element, one_line=_is_float_array) -> str:
+    """The recursive writer, one call per list and per scalar; what ``one_line``
+    picks (a float64 array) on one line, written by ``float_list``, and every
+    other list one item per line."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         parts = [
-            f"{inner}{json.dumps(str(key))}: {_reference_dumps(obj[key], indent + 1, float_list)}"
+            f"{inner}{json.dumps(str(key))}: {_reference_dumps(obj[key], indent + 1, float_list, one_line)}"
             for key in sorted(obj)
         ]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
+    if one_line(obj):
+        return float_list(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(type(item) is float for item in obj):
-            return float_list(obj)
-        parts = [f"{inner}{_reference_dumps(item, indent + 1, float_list)}" for item in obj]
+        parts = [f"{inner}{_reference_dumps(item, indent + 1, float_list, one_line)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
     return _reference_scalar(obj)
 
@@ -571,8 +689,11 @@ def _broken_arrays(draw):
     return arr
 
 
+# a stored array, as ``matrix_to_json`` returns it
+_flat_arrays = st.lists(_floats, max_size=6).map(lambda xs: np.array(xs, dtype=float))
+
 _documents = st.recursive(
-    st.one_of(_scalars, _float_arrays(min_depth=2), _broken_arrays(),
+    st.one_of(_scalars, _flat_arrays, _float_arrays(min_depth=2), _broken_arrays(),
               st.lists(st.one_of(_ints, _floats), max_size=6),
               st.lists(st.lists(_floats, max_size=3), max_size=4)),
     lambda children: st.one_of(
@@ -609,7 +730,7 @@ def test_dumps_rejects_non_finite_float_in_array(arr, bad, data):
 @settings(max_examples=200, deadline=None)
 @given(xs=st.lists(_floats, max_size=40))
 def test_float_list_is_json_dumps(xs):
-    assert dumps_deterministic(xs) == json.dumps(xs)
+    assert dumps_deterministic(np.array(xs, dtype=float)) == json.dumps(xs)
 
 
 def _below(x: float) -> float:
@@ -629,21 +750,21 @@ def test_float_list_is_json_dumps_on_bit_patterns_and_edges():
     rng = np.random.default_rng(25)
     bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(float)
     xs = bits[np.isfinite(bits)].tolist() + _EDGE_FLOATS
-    assert dumps_deterministic(xs) == json.dumps(xs)
+    assert dumps_deterministic(np.array(xs, dtype=float)) == json.dumps(xs)
     for x in _EDGE_FLOATS:
-        assert dumps_deterministic([x]) == json.dumps([x])
+        assert dumps_deterministic(np.array([x])) == json.dumps([x])
     # lists around the 4096-float chunk, with edge values at the seams
     for size in (4095, 4096, 4097):
         ys = (rng.standard_normal(size) * 10.0 ** rng.integers(-8, 20, size)).tolist()
         for at in (0, size - 2, size - 1):
             ys[at] = _EDGE_FLOATS[at % len(_EDGE_FLOATS)]
-        assert dumps_deterministic(ys) == json.dumps(ys)
+        assert dumps_deterministic(np.array(ys)) == json.dumps(ys)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("at", [0, 4095, 4096, 4196])
 def test_float_list_rejects_non_finite_anywhere(bad, at):
-    xs = [0.5] * 4197
+    xs = np.full(4197, 0.5)
     xs[at] = bad
     with pytest.raises(ValueError, match="^non-finite float in output document$"):
         dumps_deterministic(xs)
@@ -672,8 +793,8 @@ def test_solve_writes_json_dumps_bytes_with_exponent_form_floats(tmp_path, capsy
     assert len(lists) == system.independent_beta_count
     for line in lists:
         assert line == json.dumps(json.loads(line))
-    # the writer before orjson: json.dumps for each float list
-    assert text == _reference_dumps(json.loads(text), float_list=json.dumps) + "\n"
+    # the writer before orjson and arrays: json.dumps for each list of floats
+    assert text == _reference_dumps(json.loads(text), float_list=json.dumps, one_line=_is_float_list) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -703,3 +824,18 @@ def test_matrix_json_round_trip_is_bit_exact(shape, data):
     text = dumps_deterministic({"betas": [matrix_to_json(np.asfortranarray(arr))]})
     back = json_to_matrix(json.loads(text)["betas"][0], shape, "betas[0]")
     assert back.shape == shape and back.tobytes() == arr.tobytes()
+
+
+def test_editing_a_document_leaves_its_field_unchanged():
+    spec = tk.GridSpec(0.0, 8.0, 0.25, 0.25, 5, 5)
+    lv = liouville_field(spec)
+    data = liouville_boundary(spec)
+    before = [a.copy() for a in (*lv.c.minus, *lv.c.plus, *lv.field.betas, *data.left, *data.bottom)]
+    docs = (system_to_document(lv.system, lv.c), grid_to_document(lv.system, lv.field),
+            boundary_to_document(lv.system, data))
+    for doc in docs:
+        for key in ("c_minus", "c_plus", "betas", "left", "bottom"):
+            for entry in doc.get(key, []):
+                entry += 1.0
+    after = (*lv.c.minus, *lv.c.plus, *lv.field.betas, *data.left, *data.bottom)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after, strict=True))

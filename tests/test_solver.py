@@ -435,7 +435,8 @@ def _healthy_columns(sizes, n=9):
     return [np.eye(k) + 0.1 * rng.standard_normal((n, k, k)) for k in sizes]
 
 
-@pytest.mark.parametrize("defect", ["singular", "ill-conditioned", "non-finite", "scalar zero"])
+@pytest.mark.parametrize("defect", ["singular", "ill-conditioned", "far-scaled", "non-finite",
+                                    "scalar zero", "tiny but healthy"])
 def test_health_check_flags_the_degenerate_sample(defect):
     # blocks of sizes 2, 1, 2, scanned in block order, then row order
     columns = _healthy_columns((2, 1, 2))
@@ -446,10 +447,15 @@ def test_health_check_flags_the_degenerate_sample(defect):
         sample[:] = [[1.0, 2.0], [2.0, 4.0]]
     elif defect == "ill-conditioned":
         sample[:] = np.diag([1.0, 1e-13])  # cond_2 = 1e13
+    elif defect == "far-scaled":
+        sample[:] = np.diag([1e-200, 1e-180])  # cond_2 = 1e20; its unscaled norms under- and overflow
     elif defect == "non-finite":
         sample[1, 0] = np.nan
-    else:
+    elif defect == "scalar zero":
         sample[:] = 0.0
+    else:
+        sample[:] = 1e-200 * np.eye(2)  # cond_2 = 1: passes, so the later sample is flagged
+        row = 8
     columns[2][8] = 0.0  # a later sample, in block order, that is singular too
     with pytest.raises(BlowUpError) as info:
         _check_health(columns, 9)
