@@ -66,47 +66,61 @@ EXIT_NO_CONVERGENCE = 5
 _CHUNK = 4096  # floats per orjson call: one call per list raised the peak memory
 
 
-def _float_list(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist())`` for a flat float64 array: orjson's digits, and
-    ``repr`` for the values that ``repr`` writes with an exponent (nonzero |x| < 1e-4
-    and |x| >= 1e16), which orjson spells otherwise."""
-    parts = []
+def _float_list(values: np.ndarray, out: list[str]):
+    """Append ``json.dumps(values.tolist())`` for a flat float64 array to ``out``: orjson's
+    digits for each run of values between those that ``repr`` writes with an exponent
+    (nonzero |x| < 1e-4 and |x| >= 1e16, which orjson spells otherwise), and ``repr`` there."""
+    out.append("[")
+    sep = ""
     for start in range(0, len(values), _CHUNK):
         chunk = values[start:start + _CHUNK]
         if not np.isfinite(chunk).all():  # orjson would write null
             raise ValueError("non-finite float in output document")
-        items = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
         mag = np.abs(chunk)
-        for i in np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist():
-            items[i] = repr(float(chunk[i]))
-        parts.append(", ".join(items))
-    return "[" + ", ".join(parts) + "]"
+        run = 0  # the first value not yet written
+        for i in np.flatnonzero(((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)).tolist() + [len(chunk)]:
+            if i > run:
+                text = orjson.dumps(chunk[run:i], option=orjson.OPT_SERIALIZE_NUMPY)
+                out += (sep, text[1:-1].replace(b",", b", ").decode())
+                sep = ", "
+            if i < len(chunk):
+                out += (sep, repr(float(chunk[i])))
+                sep = ", "
+            run = i + 1
+    out.append("]")
+
+
+def _write(obj, indent: int, out: list[str]):
+    """Append the text of ``obj`` to ``out``, nested ``indent`` levels deep."""
+    if isinstance(obj, dict):
+        items, brackets = [(json.dumps(str(key)) + ": ", obj[key]) for key in sorted(obj)], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [("", item) for item in obj], "[]"
+    elif isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim == 1:
+        _float_list(obj, out)
+        return
+    else:  # a scalar
+        try:
+            out.append(json.dumps(obj, allow_nan=False))
+        except ValueError:
+            raise ValueError("non-finite float in output document") from None
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = "\n" + "  " * (indent + 1)
+    for i, (label, item) in enumerate(items):
+        out += ((brackets[0] if i == 0 else ",") + inner, label)
+        _write(item, indent + 1, out)
+    out.append("\n" + "  " * indent + brackets[1])
 
 
 def dumps_deterministic(obj, indent: int = 0) -> str:
     """JSON text with sorted keys and ``repr`` floats; a flat float64 array takes one
-    line, and a list one item per line."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(key))}: {dumps_deterministic(obj[key], indent + 1)}"
-            for key in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, np.ndarray) and obj.dtype == float and obj.ndim == 1:
-        return _float_list(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = [f"{inner}{dumps_deterministic(item, indent + 1)}" for item in obj]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    try:  # a scalar
-        return json.dumps(obj, allow_nan=False)
-    except ValueError:
-        raise ValueError("non-finite float in output document") from None
+    line, and a list one item per line.  The pieces are joined once."""
+    out: list[str] = []
+    _write(obj, indent, out)
+    return "".join(out)
 
 
 def matrix_to_json(arr: np.ndarray) -> np.ndarray:
@@ -395,8 +409,7 @@ def cmd_solve(args) -> int:
             f"--grid {args.grid} does not match the boundary file "
             f"({data.spec.n_minus} x {data.spec.n_plus})"
         )
-    with np.errstate(all="ignore"):  # march classifies non-finite samples itself
-        result = march(system, c, data)
+    result = march(system, c, data)
     res = result.residual
     if not (math.isfinite(res.max_norm) and math.isfinite(res.l2_norm)):
         raise FloatingPointError(f"achieved residual is not finite (max {res.max_norm}, l2 {res.l2_norm})")

@@ -11,8 +11,9 @@ block residuals and the march (the caller inverts, with
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from functools import reduce
+import functools
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -183,36 +184,92 @@ def emit_equations(system, fmt: str = "text"):
     return "\n".join(lines)
 
 
+def _shared_pair(left, right):
+    """(pair, twist): the adjacent operands ``left right`` are the product of ``pair``
+    twisted by ``twist``.  Of the operands and their twisted reversals (b^T a^T = (ab)^T,
+    and the same for t) ``pair`` is the one with the fewest twisted operands, then the
+    least, so every occurrence of a product gets one key and untwisted ones are multiplied."""
+    options = [((left, right), None)]
+    for twist in ("T", "t"):  # an operand twisted the other way has no reversal under this twist
+        pair = tuple((node, None if own else twist) for node, own in (right, left) if own in (None, twist))
+        if len(pair) == 2:
+            options.append((pair, twist))
+    return min(options, key=lambda option: (sum(twist is not None for _, twist in option[0]),
+                                            [(node, twist or "") for node, twist in option[0]]))
+
+
+def _view(values, operand):
+    """The value of ``operand``: its node's value, twisted (a view)."""
+    node, twist = operand
+    value = values[node]
+    if twist == "T":
+        return t_transpose(value)
+    if twist == "t":
+        return np.swapaxes(value, -1, -2)
+    return value
+
+
+@functools.lru_cache(maxsize=64)  # a march and its residuals compile the same equations
+def _compile(equations: tuple[Equation, ...]):
+    """(inverted, leaves, products, terms) of a ``StationPlan``: per leaf the input of
+    ``evaluate`` that holds it and its key there; per product node its operand pair;
+    per term its equation, sign and operand."""
+    leaves: dict[Factor, int] = {}
+    chains = []  # per term: equation, sign and its operands
+    for e, eq in enumerate(equations):
+        if not eq.terms:
+            raise ValueError("equation has no terms")
+        chains.extend((e, t.sign, [(leaves.setdefault(replace(f, twist=None), len(leaves)), f.twist)
+                                   for f in t.factors]) for t in eq.terms)
+    products = []  # node len(leaves) + i is the product of the operand pair products[i]
+    while True:
+        counts = Counter(_shared_pair(*pair)[0] for _, _, ops in chains for pair in zip(ops, ops[1:]))
+        shared = max(counts, key=counts.get, default=None)
+        if shared is None or counts[shared] < 2:
+            break
+        node = len(leaves) + len(products)
+        products.append(shared)
+        for _, _, ops in chains:
+            i = 0
+            while i < len(ops) - 1:
+                pair, twist = _shared_pair(ops[i], ops[i + 1])
+                if pair == shared:
+                    ops[i:i + 2] = [(node, twist)]
+                i += 1
+    for _, _, ops in chains:
+        while len(ops) > 1:
+            products.append((ops[0], ops[1]))
+            ops[:2] = [(len(leaves) + len(products) - 1, None)]
+    return (
+        tuple(dict.fromkeys(f.index for f in leaves if f.inverse)),
+        tuple(("form", f.index) if f.base == "form"
+              else (f.sign if f.base == "c" else "inverse" if f.inverse else "beta", f.index - 1)
+              for f in leaves),
+        tuple(products),
+        tuple((e, sign, ops[0]) for e, sign, ops in chains),
+    )
+
+
 class StationPlan:
     """The right-hand sides of a list of equations, compiled for evaluation
     at many stations.
 
-    The plan is read off the structured term lists: every distinct factor is
-    looked up once per evaluation, the forms are built once here and twists
-    are views.  ``inverted`` names the blocks whose inverses the terms take,
-    in the order they first do; the caller supplies those inverses.
+    The plan is read off the structured term lists.  Each term is a chain of
+    operands, an operand being a node and a twist; the nodes are the distinct
+    untwisted factors (each looked up once per evaluation, the forms built
+    once here) and products of two operands.  Compiling replaces the pair of
+    adjacent operands that occurs most often, twisted reversals included, by
+    a product node until no pair occurs twice, then multiplies the rest of
+    each chain left to right, so each shared product (the blocks
+    X_a = beta_a^{-1} C_{+a} beta_{a+1} of omega_+ among them) is formed once
+    per evaluation.  ``inverted`` names the blocks whose inverses the terms
+    take, in the order they first do; the caller supplies those inverses.
     """
 
     def __init__(self, equations):
         self.equations = tuple(equations)
-        slots: dict[Factor, int] = {}
-        terms = []
-        for eq in self.equations:
-            if not eq.terms:
-                raise ValueError("equation has no terms")
-            terms.append(tuple(
-                (t.sign, tuple(slots.setdefault(f, len(slots)) for f in t.factors))
-                for t in eq.terms
-            ))
-        self._terms = tuple(terms)
-        self.inverted = tuple(dict.fromkeys(f.index for f in slots if f.inverse))
-        self._forms = {f.index: symplectic_form(f.index).astype(complex) for f in slots if f.base == "form"}
-        # per slot: the input of ``evaluate`` that holds it, its key there and its twist
-        self._slots = tuple(
-            ("form", f.index, f.twist) if f.base == "form"
-            else (f.sign if f.base == "c" else "inverse" if f.inverse else "beta", f.index - 1, f.twist)
-            for f in slots
-        )
+        self.inverted, self._leaves, self._products, self._terms = _compile(self.equations)
+        self._forms = {key: symplectic_form(key).astype(complex) for source, key in self._leaves if source == "form"}
 
     def evaluate(self, betas, inverses, c_minus, c_plus) -> list[np.ndarray]:
         """Right-hand side of each equation, in order.
@@ -223,23 +280,15 @@ class StationPlan:
         products broadcast over leading axes.
         """
         sources = {"beta": betas, "inverse": inverses, "-": c_minus, "+": c_plus, "form": self._forms}
-        values = []
-        for source, key, twist in self._slots:
-            value = sources[source][key]
-            if twist == "T":
-                value = t_transpose(value)
-            elif twist == "t":
-                value = np.swapaxes(value, -1, -2)
-            values.append(value)
-        out = []
-        for terms in self._terms:
-            total = None
-            for sign, slots in terms:
-                value = reduce(block_matmul, [values[s] for s in slots])
-                if sign != 1:
-                    value = sign * value
-                total = value if total is None else total + value
-            out.append(total)
+        values = [sources[source][key] for source, key in self._leaves]
+        for left, right in self._products:
+            values.append(block_matmul(_view(values, left), _view(values, right)))
+        out = [None] * len(self.equations)
+        for e, sign, operand in self._terms:
+            value = _view(values, operand)
+            if sign != 1:
+                value = sign * value
+            out[e] = value if out[e] is None else out[e] + value
         return out
 
 

@@ -17,17 +17,24 @@ after every accepted column; the starting values use the unprojected points.
 
 The march holds one array per independent block and loops over the blocks
 at every step of a column.  The right-hand sides come from a
-``StationPlan`` compiled once per march; every product of block samples
-goes through ``liealg.block_matmul`` and every inverse through
+``StationPlan``, which forms each product its terms share once per
+station; every product of block samples goes through
+``liealg.block_matmul`` and every inverse through
 ``liealg.batched_inverse`` (a reciprocal for 1 x 1 blocks, the adjugate
 for long stacks of 2 x 2 ones); the Cayley transfer is 2 (I - a)^{-1} - I
 and 1 x 1 prefix products a cumulative product.  An exactly singular
 sample met on the way (at the half-point initialisation, a station or a
-Cayley transfer) is a blow-up at that sample's own (row, column).  The
-health check of an accepted column bounds the condition number by
-||beta||_F ||beta^{-1}||_F >= cond_2; the bound is exact for 1 x 1 blocks
-and at most k times cond_2 for k x k blocks, so it can flag a blow-up
-earlier, never later.
+Cayley transfer) is a blow-up at that sample's own (row, column).
+
+The health check runs once, over all marched columns, after the last one;
+when a step of the column loop raises, the columns accepted before it are
+checked first and their fault, if any, is raised instead, so the report
+is the first degenerate sample in column, block, row order either way.
+It bounds the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2,
+which is exactly 1 for 1 x 1 samples, ||beta||_F^2 / |det beta| for 2 x 2
+ones and at most k times cond_2 for k x k ones, so it can flag a blow-up
+earlier, never later.  The march runs with numpy's floating-point warnings
+off: it classifies non-finite values itself.
 """
 
 from __future__ import annotations
@@ -194,6 +201,7 @@ def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g
 
 
+@np.errstate(all="ignore")  # non-finite samples are classified, not warned about
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
     """Fill the grid column by column from characteristic boundary data.
 
@@ -208,7 +216,9 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     measured (a theta >= 1 clears it), the first-iteration test of Radau5.
 
     Raises :class:`BlowUpError` at the first sample that is singular or
-    whose condition number bound or magnitude degenerates, and
+    whose condition number bound or magnitude degenerates (a degenerate
+    sample of a column accepted before a failure is reported in its
+    place), and
     :class:`ConvergenceError` if the corrector diverges or does not reach
     its fixed point within 25 sweeps, unless the column's widest iterate
     is not finite or left the range of the boundary data (then a blow-up).
@@ -270,47 +280,55 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
         raise BlowUpError("singular half-point average on the left line", (exc.index[0], 0)) from exc
     fixed = [[grid[:, 0] for grid in grids]]  # the corrector's last fixed points, before projection
     iterations, eta = [], None  # eta = theta / (1 - theta) of the last contraction measured
-    for j in range(nj - 1):
-        # the polynomial through the last m + 1 columns, from the bottom sample
-        m = min(j, 4)
-        beta_next = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
-                     for a in range(len(grids))]
-        for grid, start in zip(grids, beta_next):
-            start[0] = grid[0, j + 1]
-        prev_delta, widest, failure = None, (0.0, None), None
-        for sweep in range(_MAX_CORRECTORS):
-            beta_mid = [0.5 * (grid[:, j] + nxt) for grid, nxt in zip(grids, beta_next)]
-            u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_mid, j))]
-            candidate = integrate_lines(u_next, j)
-            delta = _largest([new - old for new, old in zip(candidate, beta_next)])
-            beta_next = candidate
-            scale = 1.0 + _largest(beta_next)
-            if not scale <= widest[0]:  # a NaN scale wins, and its delta fails the corrector
-                widest = (scale, beta_next)
-            if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
-                                          and delta > _FP_TOL * scale):
-                failure = f"corrector diverged at column {j + 1} (delta {delta:.3e})"
-                break
-            if prev_delta is not None and delta > 0.0:  # an exact repeat measures no rate
-                theta = delta / prev_delta
-                eta = theta / (1.0 - theta) if theta < 1.0 else None
-            if delta <= _FP_TOL * scale or (
-                    eta is not None and delta * eta ** (0.8 if prev_delta is None else 1.0) <= _FP_TOL * scale):
-                break
-            prev_delta = delta
-        else:
-            failure = f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
-        if failure:  # a blow-up if the column's widest iterate says so
-            _classify_divergence(widest[1], data_mag, data_inv, j + 1)
-            raise ConvergenceError(failure)
-        iterations.append(sweep + 1)
-        fixed = fixed[-4:] + [beta_next]
-        for grid, column in zip(grids, beta_next):
-            grid[:, j + 1] = column
-        if form is not None:
-            grids[-1][1:, j + 1] = _project_central(form, beta_next[-1][1:])
-        _check_health([grid[:, j + 1] for grid in grids], j + 1)
-        u_cur = u_next
+    try:
+        for j in range(nj - 1):
+            # the polynomial through the last m + 1 columns, from the bottom sample
+            m = min(j, 4)
+            beta_next = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
+                         for a in range(len(grids))]
+            for grid, start in zip(grids, beta_next):
+                start[0] = grid[0, j + 1]
+            prev_delta, widest, failure = None, (0.0, None), None
+            for sweep in range(_MAX_CORRECTORS):
+                beta_mid = [0.5 * (grid[:, j] + nxt) for grid, nxt in zip(grids, beta_next)]
+                u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_mid, j))]
+                candidate = integrate_lines(u_next, j)
+                delta = _largest([new - old for new, old in zip(candidate, beta_next)])
+                beta_next = candidate
+                scale = 1.0 + _largest(beta_next)
+                if not scale <= widest[0]:  # a NaN scale wins, and its delta fails the corrector
+                    widest = (scale, beta_next)
+                if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
+                                              and delta > _FP_TOL * scale):
+                    failure = f"corrector diverged at column {j + 1} (delta {delta:.3e})"
+                    break
+                if prev_delta is not None and delta > 0.0:  # an exact repeat measures no rate
+                    theta = delta / prev_delta
+                    eta = theta / (1.0 - theta) if theta < 1.0 else None
+                if delta <= _FP_TOL * scale or (
+                        eta is not None and delta * eta ** (0.8 if prev_delta is None else 1.0) <= _FP_TOL * scale):
+                    break
+                prev_delta = delta
+            else:
+                failure = f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
+            if failure:  # a blow-up if the column's widest iterate says so
+                _classify_divergence(widest[1], data_mag, data_inv, j + 1)
+                raise ConvergenceError(failure)
+            iterations.append(sweep + 1)
+            fixed = fixed[-4:] + [beta_next]
+            for grid, column in zip(grids, beta_next):
+                grid[:, j + 1] = column
+            if form is not None:
+                grids[-1][1:, j + 1] = _project_central(form, beta_next[-1][1:])
+            u_cur = u_next
+    except (BlowUpError, ConvergenceError) as exc:  # a degenerate column accepted before is the earlier fault
+        fault = _health_fault(grids, j)
+        if fault is not None:
+            raise fault from exc
+        raise
+    fault = _health_fault(grids, nj - 1)
+    if fault is not None:
+        raise fault
     field = GridField(spec, tuple(grids))
     residual = block_residuals(system, field, c)
     return SolveResult(field, residual, tuple(iterations))
@@ -354,37 +372,66 @@ def _nonfinite_row(column: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite))
 
 
-def _cond_bound(column: np.ndarray) -> np.ndarray:
-    """||beta||_F ||beta^{-1}||_F >= cond_2 of each sample of a finite column, scaled to
-    a largest entry of 1 so neither norm under- or overflows; inf from its first singular sample on."""
-    column = column / np.maximum(np.abs(column).max(axis=(-2, -1), keepdims=True), np.finfo(float).tiny)
-    norm = np.linalg.norm(column, axis=(-2, -1))
+def _cond_bound(samples: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
+    """||beta||_F ||beta^{-1}||_F >= cond_2 of each sample of a stack, given its largest entry
+    magnitude: exactly 1 for 1 x 1 samples, ||beta||_F^2 / |det beta| for 2 x 2 ones (the
+    adjugate holds the same entries) and through the inverse for larger ones, each on the
+    sample scaled to a largest entry of 1 so nothing under- or overflows.  A singular sample
+    reads inf; from 3 x 3 on, so does every later sample in row-major order of the leading axes."""
+    k = samples.shape[-1]
+    if k == 1:
+        return np.where(magnitude == 0, np.inf, 1.0)
+    samples = samples / np.maximum(magnitude, np.finfo(float).tiny)[..., None, None]
+    if k > 2:
+        return _inverse_bound(samples.reshape(-1, k, k)).reshape(magnitude.shape)
+    norm = np.linalg.norm(samples, axis=(-2, -1))
+    det = np.abs(samples[..., 0, 0] * samples[..., 1, 1] - samples[..., 0, 1] * samples[..., 1, 0])
+    return np.divide(norm * norm, det, out=np.full(norm.shape, np.inf), where=det != 0)
+
+
+def _inverse_bound(stack: np.ndarray) -> np.ndarray:
+    """||beta||_F ||beta^{-1}||_F of each matrix of a flat stack; inf from its first singular one on."""
     try:
-        return norm * np.linalg.norm(batched_inverse(column), axis=(-2, -1))
+        return np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(batched_inverse(stack), axis=(-2, -1))
     except SingularMatrixError as exc:
         i = exc.index[0]
-    bound = np.full(norm.shape, np.inf)
-    bound[:i] = _cond_bound(column[:i])
+    bound = np.full(len(stack), np.inf)
+    bound[:i] = _inverse_bound(stack[:i])
     return bound
 
 
-def _check_health(columns: list[np.ndarray], j: int):
-    """Raise BlowUpError at the first sample of accepted column j, in block
-    order, that is non-finite or whose magnitude or condition bound is too large."""
-    for a, column in enumerate(columns):
-        i = _nonfinite_row(column)
-        if i is not None:
-            raise BlowUpError(f"non-finite sample in block {a + 1}", (i, j))
-        cond = _cond_bound(column)
-        magnitude = np.abs(column).max(axis=(-1, -2))
-        bad = (cond > _COND_LIMIT) | (magnitude > _COND_LIMIT)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise BlowUpError(
-                f"block {a + 1} degenerated at row {i}, column {j} "
-                f"(condition bound {cond[i]:.3e}, magnitude {magnitude[i]:.3e})",
-                (i, j),
-            )
+@np.errstate(all="ignore")
+def _health_fault(grids: list[np.ndarray], last: int) -> BlowUpError | None:
+    """The blow-up at the first degenerate sample of columns 1..last of the block grids, if any.
+
+    Samples are taken in column order, then block order, then row order; a
+    sample is degenerate when it is not finite or its magnitude or condition
+    bound exceeds the limit.  A block column with a non-finite sample reports
+    its first one.
+    """
+    found = None  # (column offset, block, magnitudes, condition bounds, degenerate rows)
+    for a, grid in enumerate(grids):
+        samples = np.swapaxes(grid[:, 1:last + 1], 0, 1)  # (column, row, k, k)
+        magnitude = np.abs(samples).max(axis=(-2, -1))  # NaN or inf at a non-finite sample
+        cond = _cond_bound(samples, magnitude)
+        bad = ~(magnitude <= _COND_LIMIT) | (cond > _COND_LIMIT)
+        columns = np.flatnonzero(bad.any(axis=1))
+        if columns.size and (found is None or columns[0] < found[0]):
+            col = columns[0]
+            found = (col, a, magnitude[col], cond[col], bad[col])
+    if found is None:
+        return None
+    col, a, magnitude, cond, bad = found
+    j = int(col) + 1
+    nonfinite = ~np.isfinite(magnitude)
+    if nonfinite.any():
+        return BlowUpError(f"non-finite sample in block {a + 1}", (int(np.argmax(nonfinite)), j))
+    i = int(np.argmax(bad))
+    return BlowUpError(
+        f"block {a + 1} degenerated at row {i}, column {j} "
+        f"(condition bound {cond[i]:.3e}, magnitude {magnitude[i]:.3e})",
+        (i, j),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,29 @@ def test_station_plan_lists_its_inverted_blocks_in_first_use_order():
         assert StationPlan(eqs).inverted == tuple(order), case
 
 
+@pytest.mark.parametrize("case, shared, multiplied_out", [
+    (("A", 3, (2, 1, 1)), 8, 12),
+    (("B", 3, (2, 3, 2)), 4, 9),
+    (("C", 3, (1, 1, 2, 1, 1)), 12, 17),
+    (("D", 4, (1, 3, 3, 1)), 7, 9),
+    (("C", 2, (2, 2)), 3, 3),
+    (("A", 1, (1, 1)), 4, 6),
+], ids=str)
+def test_station_plan_forms_each_shared_product_once(case, shared, multiplied_out):
+    # the omega_+ blocks X_a = beta_a^{-1} C_{+a} beta_{a+1} once each, the odd-p
+    # B/D centre as the twisted transpose of C_{-s} X_s, and the C odd-p centre's
+    # terms sharing beta_s^{-1} C_{+s} and C_{-s} beta_s^{-1} C_{+s}
+    eqs = independent_equations(build_case(*case))
+    assert sum(len(t.factors) - 1 for eq in eqs for t in eq.terms) == multiplied_out
+    assert len(StationPlan(eqs)._products) == shared
+
+
+def test_station_plan_never_multiplies_more_than_the_terms():
+    for case in unit_step_cases(4):
+        eqs = independent_equations(build_case(*case))
+        assert len(StationPlan(eqs)._products) <= sum(len(t.factors) - 1 for eq in eqs for t in eq.terms), case
+
+
 @pytest.mark.parametrize("case", ALL_CASES, ids=str)
 def test_evaluate_rhs_asks_only_for_the_blocks_its_equation_names(case, rng):
     system = build_case(*case)

@@ -16,7 +16,8 @@ from todakit.solver import (
     liouville_field,
     liouville_system,
     _cayley,
-    _check_health,
+    _health_fault,
+    _project_central,
     _prefix_products,
     _staggered_log_derivative,
     march,
@@ -150,21 +151,89 @@ def test_non_finite_boundary_is_invalid_input():
         CharacteristicData(spec, tuple(left), data.bottom)
 
 
-def test_blowup_detection_over_pole():
+def _march_over_pole(offset, ratio, n, location):
+    # beta_1 = offset - z+ - z- vanishes on the line z- + z+ = offset, inside the
+    # grid; the corrector leaves the data's range at the last row of the column
+    # the pole line first crosses
     system = liouville_system()
     c = tk.make_c_blocks(system, [np.array([[1.0]])], [np.array([[1.0]])])
-    spec = tk.GridSpec(0.0, 0.0, 1 / 16, 0.9 / 16, 17, 17)
+    spec = tk.GridSpec(0.0, 0.0, 1 / (n - 1), ratio / (n - 1), n, n)
 
     def anti(zm, zp):
-        return (1.5 - zp) - zm
+        return (offset - zp) - zm
 
     left1 = np.array([[[anti(zm, 0.0)]] for zm in spec.z_minus], dtype=complex)
     bottom1 = np.array([[[anti(0.0, zp)]] for zp in spec.z_plus], dtype=complex)
     data = CharacteristicData(spec, (left1, 1 / left1), (bottom1, 1 / bottom1))
     with pytest.raises(BlowUpError) as info:
         march(system, c, data)
-    i, j = info.value.location
-    assert j >= 1 and i >= 0
+    assert info.value.location == location
+    assert str(info.value).startswith(f"block 1 left the invertible range at row {location[0]} (")
+
+
+def test_blowup_detection_over_pole():
+    _march_over_pole(1.5, 0.9, 17, (16, 9))
+
+
+@pytest.mark.parametrize("offset, ratio, n, location", [
+    pytest.param(1.2, 0.9, 33, (32, 7), id="1.2-0.9-n33"),
+    pytest.param(1.65, 0.95, 33, (32, 22), id="1.65-0.95-n33"),
+    pytest.param(1.8, 0.8, 65, (64, 64), id="1.8-0.8-n65"),
+])
+def test_blowup_location_over_pole_line(offset, ratio, n, location):
+    _march_over_pole(offset, ratio, n, location)
+
+
+def _poisoned_projection(monkeypatch, column, later_failure):
+    """Make the central block's projected sample at row 5 of ``column`` zero; with
+    ``later_failure``, the first Cayley transfer after it is singular."""
+    projected = []
+
+    def project(form, g):
+        projected.append(g)
+        g = _project_central(form, g)
+        if len(projected) == column:
+            g[4] = 0.0
+        return g
+
+    def cayley(half):
+        if later_failure and len(projected) >= column:
+            raise SingularMatrixError("singular sample", (2,))
+        return _cayley(half)
+
+    monkeypatch.setattr(solver, "_project_central", project)
+    monkeypatch.setattr(solver, "_cayley", cayley)
+
+
+def test_degenerate_column_before_a_failure_is_reported(rng, monkeypatch):
+    # column 3 is accepted with a zero sample, then column 4 fails: the report is
+    # the one a check after column 3 gives, chained from the later failure
+    system = build_case(*SYSTEM_CASES["BD-oddp"][1])
+    spec = tk.GridSpec(0.0, 0.0, 1 / 8, 1 / 8, 9, 9)
+    data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
+    c = random_couplings(system, rng, scale=0.4)
+    _poisoned_projection(monkeypatch, 3, later_failure=True)
+    with pytest.raises(BlowUpError) as info:
+        march(system, c, data)
+    assert info.value.location == (5, 3)
+    assert str(info.value).startswith("block 2 degenerated at row 5, column 3 (condition bound inf")
+    assert isinstance(info.value.__cause__, BlowUpError)
+    assert info.value.__cause__.location == (2, 4)
+    assert str(info.value.__cause__) == "singular implicit step"
+
+
+def test_degenerate_last_column_is_reported(rng, monkeypatch):
+    # a march that otherwise finishes still reports its degenerate sample
+    system = build_case(*SYSTEM_CASES["BD-oddp"][1])
+    spec = tk.GridSpec(0.0, 0.0, 1 / 8, 1 / 8, 9, 9)
+    data = boundary_from_closure(system, spec, smooth_closure(system, rng, scale=0.3))
+    c = random_couplings(system, rng, scale=0.4)
+    _poisoned_projection(monkeypatch, 8, later_failure=False)
+    with pytest.raises(BlowUpError) as info:
+        march(system, c, data)
+    assert info.value.location == (5, 8)
+    assert str(info.value).startswith("block 2 degenerated at row 5, column 8 (condition bound inf")
+    assert info.value.__cause__ is None
 
 
 def test_singular_half_point_is_a_blow_up_at_its_sample():
@@ -429,20 +498,32 @@ def test_convergence_study_three_grids_unbiased():
     assert 1.8 <= study.order <= 2.2
 
 
-def _healthy_columns(sizes, n=9):
-    """One accepted column per block, near-identity samples."""
+def _healthy_grids(sizes, n=9, columns=11):
+    """One grid per block, near-identity samples."""
     rng = np.random.default_rng(7)
-    return [np.eye(k) + 0.1 * rng.standard_normal((n, k, k)) for k in sizes]
+    return [np.eye(k) + 0.1 * rng.standard_normal((n, columns, k, k)) for k in sizes]
 
 
-@pytest.mark.parametrize("defect", ["singular", "ill-conditioned", "far-scaled", "non-finite",
-                                    "scalar zero", "tiny but healthy"])
+# per defect: the block and row reported, and the message
+_HEALTH_REPORTS = {
+    "singular": (2, 6, "block 3 degenerated at row 6, column 9 (condition bound inf, magnitude 4.000e+00)"),
+    "ill-conditioned": (2, 6, "block 3 degenerated at row 6, column 9 "
+                              "(condition bound 1.000e+13, magnitude 1.000e+00)"),
+    "far-scaled": (2, 6, "block 3 degenerated at row 6, column 9 (condition bound 1.000e+20, magnitude 1.000e-180)"),
+    "non-finite": (2, 6, "non-finite sample in block 3"),
+    "scalar zero": (1, 4, "block 2 degenerated at row 4, column 9 (condition bound inf, magnitude 0.000e+00)"),
+    "tiny but healthy": (2, 8, "block 3 degenerated at row 8, column 9 "
+                               "(condition bound inf, magnitude 0.000e+00)"),
+}
+
+
+@pytest.mark.parametrize("defect", list(_HEALTH_REPORTS))
 def test_health_check_flags_the_degenerate_sample(defect):
-    # blocks of sizes 2, 1, 2, scanned in block order, then row order
-    columns = _healthy_columns((2, 1, 2))
-    _check_health(columns, 9)
-    block, row = (1, 4) if defect == "scalar zero" else (2, 6)
-    sample = columns[block][row]
+    # blocks of sizes 2, 1, 2, scanned in column order, then block order, then row order
+    grids = _healthy_grids((2, 1, 2))
+    assert _health_fault(grids, 9) is None
+    block, row, message = _HEALTH_REPORTS[defect]
+    sample = grids[block][row if defect != "tiny but healthy" else 6, 9]
     if defect == "singular":
         sample[:] = [[1.0, 2.0], [2.0, 4.0]]
     elif defect == "ill-conditioned":
@@ -455,12 +536,48 @@ def test_health_check_flags_the_degenerate_sample(defect):
         sample[:] = 0.0
     else:
         sample[:] = 1e-200 * np.eye(2)  # cond_2 = 1: passes, so the later sample is flagged
-        row = 8
-    columns[2][8] = 0.0  # a later sample, in block order, that is singular too
-    with pytest.raises(BlowUpError) as info:
-        _check_health(columns, 9)
-    assert info.value.location == (row, 9)
-    assert f"block {block + 1}" in str(info.value)
+    grids[2][8, 9] = 0.0  # a later sample, in block order, that is singular too
+    grids[0][:, 0] = grids[0][:, 10] = np.nan  # the boundary column and those after `last` are not checked
+    fault = _health_fault(grids, 9)
+    assert (fault.location, str(fault)) == ((row, 9), message)
+    grids[1][8, 5] = np.inf  # an earlier column wins over any block and row
+    fault = _health_fault(grids, 9)
+    assert (fault.location, str(fault)) == ((8, 5), "non-finite sample in block 2")
+
+
+def _cond_reference(samples):
+    """||beta||_F ||beta^{-1}||_F of each scaled sample, through its inverse."""
+    scaled = samples / np.abs(samples).max(axis=(-2, -1), keepdims=True)
+    return np.array([np.linalg.norm(s) * np.linalg.norm(np.linalg.inv(s)) for s in scaled])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_condition_bounds_match_the_inverse(k, rng):
+    # well-conditioned samples, and for k = 2 near-singular ones of determinant
+    # delta = 1e-1..1e-11 (dyadic entries: their determinant and LU factors are
+    # exact, so the inverse-based bound is accurate too), at scales 2^-600..2^600
+    samples = np.eye(k) + 0.3 * random_complex(rng, (40, k, k))
+    if k == 2:
+        x, y = (rng.integers(-512, 512, 40) / 1024 for _ in range(2))
+        delta = 10.0 ** -rng.uniform(1, 11, 40)
+        near = np.stack([np.stack([np.ones(40), x], -1), np.stack([y, x * y + delta], -1)], -2)
+        samples = np.concatenate([samples, near.astype(complex)])
+    samples *= 2.0 ** rng.integers(-600, 600, len(samples))[:, None, None]
+    got = solver._cond_bound(samples, np.abs(samples).max(axis=(-2, -1)))
+    want = _cond_reference(samples)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    if k == 1:
+        assert np.all(got == 1.0)
+    # an exactly singular sample reads inf at its own row (from 3 x 3 on, so do
+    # all later ones), and a zero one too
+    samples[7] = 0.0 if k == 1 else np.diag([1.0] * (k - 1) + [0.0])
+    samples[11] = 0.0
+    got = solver._cond_bound(samples, np.abs(samples).max(axis=(-2, -1)))
+    assert np.flatnonzero(np.isinf(got)).tolist() == ([7, 11] if k < 3 else list(range(7, len(samples))))
+    rest = np.ones(len(samples), bool)
+    rest[7:] = k < 3
+    rest[[7, 11]] = False
+    assert np.max(np.abs(got[rest] - want[rest]) / want[rest]) <= 1e-12
 
 
 def test_corrector_sweeps_per_column(rng):
