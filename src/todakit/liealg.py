@@ -154,9 +154,11 @@ def batched_inverse(values: np.ndarray) -> np.ndarray:
 
     This is the one inverse of block samples.  On an exactly singular matrix
     it raises ``SingularMatrixError`` whose ``index`` locates the first such
-    matrix in row-major order of the leading axes.  A 2 x 2 stack whose
-    determinant or its reciprocal is not finite (a zero, an overflow or an
-    underflow) takes the general path, which decides.
+    matrix in row-major order of the leading axes: one LU of the whole stack
+    (``slogdet``, whose sign is 0 at the exact zero pivot ``inv`` stops on)
+    finds it.  A 2 x 2 stack whose determinant or its reciprocal is not
+    finite (a zero, an overflow or an underflow) takes the general path,
+    which decides.
     """
     if values.shape[-2:] == (1, 1):
         if values.all():
@@ -176,12 +178,12 @@ def batched_inverse(values: np.ndarray) -> np.ndarray:
             return np.linalg.inv(values)
         except np.linalg.LinAlgError:
             pass
-    for index in np.ndindex(values.shape[:-2]):
-        try:
-            np.linalg.inv(values[index])
-        except np.linalg.LinAlgError:
-            raise SingularMatrixError(f"singular block sample at {index}", index) from None
-    raise SingularMatrixError("singular block sample")
+    with np.errstate(all="ignore"):  # a non-finite sample warns; only a zero pivot has sign 0
+        singular = np.flatnonzero(np.linalg.slogdet(values)[0] == 0)
+    if not singular.size:
+        raise SingularMatrixError("singular block sample")
+    index = tuple(int(i) for i in np.unravel_index(singular[0], values.shape[:-2]))
+    raise SingularMatrixError(f"singular block sample at {index}", index)
 
 
 def t_transpose(a: np.ndarray) -> np.ndarray:

@@ -31,10 +31,10 @@ when a step of the column loop raises, the columns accepted before it are
 checked first and their fault, if any, is raised instead, so the report
 is the first degenerate sample in column, block, row order either way.
 It bounds the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2,
-which is exactly 1 for 1 x 1 samples, ||beta||_F^2 / |det beta| for 2 x 2
-ones and at most k times cond_2 for k x k ones, so it can flag a blow-up
-earlier, never later.  The march runs with numpy's floating-point warnings
-off: it classifies non-finite values itself.
+through ``batched_inverse`` at every block size; that is at most k times
+cond_2 for k x k samples, so it can flag a blow-up earlier, never later.
+The march runs with numpy's floating-point warnings off: it classifies
+non-finite values itself.
 """
 
 from __future__ import annotations
@@ -347,10 +347,10 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
     characteristic (a pole of the solution), not a step-size problem.
     """
     for a, column in enumerate(columns):
-        i = _nonfinite_row(column)
-        if i is not None:
-            raise BlowUpError(f"block {a + 1} lost finiteness while diverging", (i, j))
-        magnitude = np.abs(column).max(axis=(-1, -2))
+        magnitude = np.abs(column).max(axis=(-1, -2))  # NaN or inf at a non-finite sample
+        nonfinite = ~np.isfinite(magnitude)
+        if nonfinite.any():
+            raise BlowUpError(f"block {a + 1} lost finiteness while diverging", (int(np.argmax(nonfinite)), j))
         try:
             inv_mag = np.abs(batched_inverse(column)).max(axis=(-1, -2))
         except SingularMatrixError as exc:
@@ -366,38 +366,20 @@ def _classify_divergence(columns, data_mag, data_inv, j: int):
             )
 
 
-def _nonfinite_row(column: np.ndarray) -> int | None:
-    """Index of the first sample along a column with a non-finite entry, if any."""
-    finite = np.isfinite(column).all(axis=(-1, -2))
-    return None if finite.all() else int(np.argmin(finite))
-
-
 def _cond_bound(samples: np.ndarray, magnitude: np.ndarray) -> np.ndarray:
     """||beta||_F ||beta^{-1}||_F >= cond_2 of each sample of a stack, given its largest entry
-    magnitude: exactly 1 for 1 x 1 samples, ||beta||_F^2 / |det beta| for 2 x 2 ones (the
-    adjugate holds the same entries) and through the inverse for larger ones, each on the
-    sample scaled to a largest entry of 1 so nothing under- or overflows.  A singular sample
-    reads inf; from 3 x 3 on, so does every later sample in row-major order of the leading axes."""
+    magnitude, on the sample scaled to a largest entry of 1 so nothing under- or overflows.
+    It reads inf from the first singular sample on, in row-major order of the leading axes."""
     k = samples.shape[-1]
-    if k == 1:
-        return np.where(magnitude == 0, np.inf, 1.0)
-    samples = samples / np.maximum(magnitude, np.finfo(float).tiny)[..., None, None]
-    if k > 2:
-        return _inverse_bound(samples.reshape(-1, k, k)).reshape(magnitude.shape)
-    norm = np.linalg.norm(samples, axis=(-2, -1))
-    det = np.abs(samples[..., 0, 0] * samples[..., 1, 1] - samples[..., 0, 1] * samples[..., 1, 0])
-    return np.divide(norm * norm, det, out=np.full(norm.shape, np.inf), where=det != 0)
-
-
-def _inverse_bound(stack: np.ndarray) -> np.ndarray:
-    """||beta||_F ||beta^{-1}||_F of each matrix of a flat stack; inf from its first singular one on."""
+    stack = (samples / np.maximum(magnitude, np.finfo(float).tiny)[..., None, None]).reshape(-1, k, k)
     try:
-        return np.linalg.norm(stack, axis=(-2, -1)) * np.linalg.norm(batched_inverse(stack), axis=(-2, -1))
+        end, inverse = len(stack), batched_inverse(stack)
     except SingularMatrixError as exc:
-        i = exc.index[0]
+        end = exc.index[0]
+        inverse = batched_inverse(stack[:end])
     bound = np.full(len(stack), np.inf)
-    bound[:i] = _inverse_bound(stack[:i])
-    return bound
+    bound[:end] = np.linalg.norm(stack[:end], axis=(-2, -1)) * np.linalg.norm(inverse, axis=(-2, -1))
+    return bound.reshape(magnitude.shape)
 
 
 @np.errstate(all="ignore")

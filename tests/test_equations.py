@@ -288,6 +288,97 @@ def test_batched_inverse_two_by_two_far_from_unit_scale(scale, rng):
     assert np.max(np.abs(scale * got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def _batched_inverse_by_loop(values):
+    """``batched_inverse`` as it was with a per-sample search: once LAPACK refuses the
+    stack, each sample is inverted alone until one fails.  The reference for the search."""
+    if values.shape[-2:] == (1, 1):
+        if values.all():
+            return 1.0 / values
+    else:
+        if values.shape[-2:] == (2, 2) and np.prod(values.shape[:-2]) >= _SMALL_STACK:
+            a, b, c, d = values[..., 0, 0], values[..., 0, 1], values[..., 1, 0], values[..., 1, 1]
+            with np.errstate(all="ignore"):
+                det = a * d - b * c
+                inv_det = 1.0 / det
+            if np.isfinite(det).all() and np.isfinite(inv_det).all():
+                out = np.empty(values.shape, inv_det.dtype)
+                out[..., 0, 0], out[..., 0, 1] = d * inv_det, -b * inv_det
+                out[..., 1, 0], out[..., 1, 1] = -c * inv_det, a * inv_det
+                return out
+        try:
+            return np.linalg.inv(values)
+        except np.linalg.LinAlgError:
+            pass
+    for index in np.ndindex(values.shape[:-2]):
+        try:
+            np.linalg.inv(values[index])
+        except np.linalg.LinAlgError:
+            raise SingularMatrixError(f"singular block sample at {index}", index) from None
+    raise SingularMatrixError("singular block sample")
+
+
+def _outcome(inverse, values):
+    """The inverse, or the index and message of the ``SingularMatrixError`` raised instead."""
+    try:
+        return inverse(values)
+    except SingularMatrixError as exc:
+        return exc.index, str(exc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("axes", [1, 2])
+def test_batched_inverse_finds_the_singular_sample_the_loop_finds(axes, k, rng):
+    # random stacks with one or two leading axes (2 x 2 ones often long enough
+    # for the adjugate), each with a few defects among: an exactly singular
+    # sample (zero or rank-deficient), a NaN or inf entry, and 1e-120 I, whose
+    # determinant underflows to 0 although LAPACK inverts it
+    defects = 0
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 7 if axes == 2 else 40, axes))
+        values = np.eye(k) + 0.5 * random_complex(rng, shape + (k, k))
+        if rng.random() < 0.3:
+            values = values.real.copy()
+        flat = values.reshape(-1, k, k)
+        for _ in range(rng.integers(0, 4)):
+            at, kind = rng.integers(len(flat)), rng.integers(5)
+            if kind == 0:
+                flat[at] = 0.0
+            elif kind == 1 and k > 1:
+                flat[at, -1] = flat[at, 0]
+            elif kind in (1, 2):
+                flat[at, rng.integers(k), rng.integers(k)] = (np.nan, np.inf, -np.inf)[rng.integers(3)]
+            else:
+                flat[at] = 1e-120 * np.eye(k)
+        with np.errstate(all="ignore"):  # a reciprocal of a non-finite sample warns on both
+            got, want = _outcome(batched_inverse, values), _outcome(_batched_inverse_by_loop, values)
+        if isinstance(want, tuple):
+            assert got == want and all(type(i) is int for i in got[0])
+            defects += 1
+        else:
+            np.testing.assert_array_equal(got, want)
+    assert defects >= 5  # the search is exercised, not only the inverses
+
+
+def test_batched_inverse_searches_a_refused_stack_in_one_call(monkeypatch):
+    # one singular sample near the end of a long 3 x 3 stack: the search is one
+    # LU of the stack (slogdet), not a per-sample inverse of every sample before it
+    values = np.eye(3) + 0.1 * np.random.default_rng(0).standard_normal((4096, 3, 3))
+    values[4090] = 0.0
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    with pytest.raises(SingularMatrixError) as info:
+        batched_inverse(values)
+    assert info.value.index == (4090,) and calls == [(4096, 3, 3)]
+    tiny = np.stack([1e-120 * np.eye(3), np.zeros((3, 3))])  # the first one's determinant underflows to 0
+    assert _outcome(batched_inverse, tiny) == ((1,), "singular block sample at (1,)")
+
+
 def test_equation_without_terms_is_rejected():
     with pytest.raises(ValueError, match="no terms"):
         evaluate_rhs(equations.Equation(1, ()), lambda a: None, lambda sign, a: None)

@@ -551,8 +551,8 @@ def _cond_reference(samples):
     return np.array([np.linalg.norm(s) * np.linalg.norm(np.linalg.inv(s)) for s in scaled])
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_closed_form_condition_bounds_match_the_inverse(k, rng):
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_condition_bound_goes_through_the_inverse_at_every_block_size(k, rng):
     # well-conditioned samples, and for k = 2 near-singular ones of determinant
     # delta = 1e-1..1e-11 (dyadic entries: their determinant and LU factors are
     # exact, so the inverse-based bound is accurate too), at scales 2^-600..2^600
@@ -567,17 +567,16 @@ def test_closed_form_condition_bounds_match_the_inverse(k, rng):
     want = _cond_reference(samples)
     assert np.max(np.abs(got - want) / want) <= 1e-12
     if k == 1:
-        assert np.all(got == 1.0)
-    # an exactly singular sample reads inf at its own row (from 3 x 3 on, so do
-    # all later ones), and a zero one too
+        assert np.max(np.abs(got - 1.0)) <= 4 * np.finfo(float).eps  # 1 to rounding
+    # an exactly singular sample reads inf, and so does every later sample in
+    # row-major order of the leading axes; a zero one too
     samples[7] = 0.0 if k == 1 else np.diag([1.0] * (k - 1) + [0.0])
     samples[11] = 0.0
-    got = solver._cond_bound(samples, np.abs(samples).max(axis=(-2, -1)))
-    assert np.flatnonzero(np.isinf(got)).tolist() == ([7, 11] if k < 3 else list(range(7, len(samples))))
-    rest = np.ones(len(samples), bool)
-    rest[7:] = k < 3
-    rest[[7, 11]] = False
-    assert np.max(np.abs(got[rest] - want[rest]) / want[rest]) <= 1e-12
+    for shape in ((len(samples),), (len(samples) // 4, 4)):  # flat, and (column, row) as the health check has it
+        stack = samples.reshape(shape + (k, k))
+        got = solver._cond_bound(stack, np.abs(stack).max(axis=(-2, -1))).reshape(-1)
+        assert np.flatnonzero(np.isinf(got)).tolist() == list(range(7, len(samples)))
+        assert np.max(np.abs(got[:7] - want[:7]) / want[:7]) <= 1e-12
 
 
 def test_corrector_sweeps_per_column(rng):
