@@ -26,10 +26,11 @@ and 1 x 1 prefix products a cumulative product.  An exactly singular
 sample met on the way (at the half-point initialisation, a station or a
 Cayley transfer) is a blow-up at that sample's own (row, column).
 
-The health check runs once, over all marched columns, after the last one;
-when a step of the column loop raises, the columns accepted before it are
-checked first and their fault, if any, is raised instead, so the report
-is the first degenerate sample in column, block, row order either way.
+``march`` is setup, a loop over ``_march_column``, which makes one column
+from its arguments alone, and one health check over the accepted columns.
+A fault found there is raised in place of a failed column step (chained
+from it), so the report is the first degenerate sample in column, block,
+row order either way.
 It bounds the condition number by ||beta||_F ||beta^{-1}||_F >= cond_2,
 through ``batched_inverse`` at every block size; that is at most k times
 cond_2 for k x k samples, so it can flag a blow-up earlier, never later.
@@ -203,32 +204,20 @@ def _project_central(form: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")  # non-finite samples are classified, not warned about
 def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResult:
-    """Fill the grid column by column from characteristic boundary data.
-
-    The corrector of column j + 1 starts from the polynomial through the
-    last m + 1 = min(j, 4) + 1 fixed points, weights (-1)^q C(m + 1, q + 1),
-    as in Hairer & Wanner, *Solving ODEs II*, sec. IV.8: the previous column
-    for j = 0, the line through two for j = 1.  A column's
-    corrector stops once its last change delta_k is within the fixed-point
-    tolerance, or once the predicted distance to the fixed point, delta_k
-    eta with eta = theta / (1 - theta) and theta = delta_k / delta_{k-1} < 1,
-    is (ibid.); a first sweep uses delta_1 eta^0.8 with the eta last
-    measured (a theta >= 1 clears it), the first-iteration test of Radau5.
+    """Fill the grid column by column (``_march_column``) from characteristic boundary data.
 
     Raises :class:`BlowUpError` at the first sample that is singular or
     whose condition number bound or magnitude degenerates (a degenerate
-    sample of a column accepted before a failure is reported in its
-    place), and
-    :class:`ConvergenceError` if the corrector diverges or does not reach
-    its fixed point within 25 sweeps, unless the column's widest iterate
-    is not finite or left the range of the boundary data (then a blow-up).
+    sample of a column accepted before a failure is reported in its place),
+    and :class:`ConvergenceError` if the corrector diverges or does not
+    reach its fixed point within ``_MAX_CORRECTORS`` sweeps, unless the
+    column's widest iterate is not finite or left the range of the boundary
+    data (then a blow-up).
     """
     if not isinstance(data, CharacteristicData):
         raise ValueError(f"march needs a CharacteristicData, got {type(data).__name__}")
     _check_inputs(system, c, data.left, "boundary line")
     spec = data.spec
-    ni, nj = spec.n_minus, spec.n_plus
-    hm, hp = spec.h_minus, spec.h_plus
     # one equation per independent block, in block order
     plan = StationPlan(independent_equations(system))
 
@@ -241,7 +230,7 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
         data_mag.append(max(_max_abs(line) for line in lines))
 
     # one (n_minus, n_plus, k, k) grid per independent block
-    grids = [np.empty((ni, nj) + left.shape[1:], dtype=complex) for left in data.left]
+    grids = [np.empty((spec.n_minus, spec.n_plus) + left.shape[1:], dtype=complex) for left in data.left]
     for grid, left, bottom in zip(grids, data.left, data.bottom):
         grid[:, 0] = left
         grid[0, :] = bottom
@@ -249,89 +238,99 @@ def march(system: TodaSystem, c: CBlocks, data: CharacteristicData) -> SolveResu
     form = None if form is None else form.astype(complex)
 
     # couplings at the stations: C_- lines at the row half-points, C_+ lines at
-    # the column midpoints (picked by column in rhs_half)
+    # the column midpoints (picked by column below)
     c_minus, c_plus = ([0.5 * (e[:-1] + e[1:]) for e in _c_samples(c, sign, lines)]
-                       for sign, lines in (("-", ni), ("+", nj)))
+                       for sign, lines in (("-", spec.n_minus), ("+", spec.n_plus)))
 
-    def rhs_half(beta_cols: list[np.ndarray], j: int) -> list[np.ndarray]:
-        """Right-hand sides at the (row half-point, column midpoint) stations."""
-        half = [0.5 * (col[:-1] + col[1:]) for col in beta_cols]
+    try:
+        u = [_staggered_log_derivative(grid[:, 0], spec.h_minus) for grid in grids]
+    except SingularMatrixError as exc:
+        raise BlowUpError("singular half-point average on the left line", (exc.index[0], 0)) from exc
+    fixed = [[grid[:, 0] for grid in grids]]  # the corrector's last fixed points, before projection
+    iterations, eta, failure = [], None, None  # eta = theta / (1 - theta) of the last contraction measured
+    for j in range(spec.n_plus - 1):
+        try:
+            column, u, sweeps, eta = _march_column(
+                plan, spec, j, [grid[:, j] for grid in grids], [grid[0, j + 1] for grid in grids], fixed, u,
+                c_minus, [e[j] for e in c_plus], (data_mag, data_inv), eta)
+        except (BlowUpError, ConvergenceError) as exc:
+            failure = exc
+            break
+        iterations.append(sweeps)
+        fixed = fixed[-4:] + [column]
+        for grid, values in zip(grids, column):
+            grid[:, j + 1] = values
+        if form is not None:
+            grids[-1][1:, j + 1] = _project_central(form, column[-1][1:])
+    fault = _health_fault(grids, len(iterations))  # an accepted degenerate column is the earlier fault
+    if fault is not None:
+        raise fault from failure
+    if failure is not None:
+        raise failure
+    field = GridField(spec, tuple(grids))
+    residual = block_residuals(system, field, c)
+    return SolveResult(field, residual, tuple(iterations))
+
+
+def _march_column(plan, spec, j, prev, bottom, fixed, u, c_minus, c_plus, data_range, eta):
+    """Column j + 1 of the block grids and its half-point u, sweeps and eta; or a raise.
+
+    Per block, ``prev`` is column j, ``bottom`` the boundary sample of column
+    j + 1 and ``u`` column j's half-point u; ``fixed`` holds the last m + 1
+    fixed points, ``c_plus`` the C_+ couplings at the column midpoint and
+    ``data_range`` the boundary data's magnitude and inverse magnitude.
+    The corrector starts from the polynomial through the fixed points,
+    weights (-1)^q C(m + 1, q + 1) (Hairer & Wanner, *Solving ODEs II*,
+    sec. IV.8).  It stops once its last change delta_k is within the
+    fixed-point tolerance, or once the predicted distance to the fixed point,
+    delta_k eta with eta = theta / (1 - theta) and theta = delta_k /
+    delta_{k-1} < 1, is (ibid.); a first sweep uses delta_1 eta^0.8 with the
+    eta last measured (a theta >= 1 clears it), the first-iteration test of
+    Radau5.  Each sweep is one set of station right-hand sides and one
+    implicit midpoint solve along the column: the prefix products of its
+    bottom sample and the Cayley transfers.
+    """
+    m = len(fixed) - 1
+    column = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
+              for a in range(len(prev))]
+    for start, sample in zip(column, bottom):
+        start[0] = sample
+    prev_delta, widest = None, (0.0, None)
+    for sweep in range(_MAX_CORRECTORS):
+        mid = [0.5 * (old + nxt) for old, nxt in zip(prev, column)]
+        half = [0.5 * (col[:-1] + col[1:]) for col in mid]
         try:
             inverses = {a - 1: batched_inverse(half[a - 1]) for a in plan.inverted}
         except SingularMatrixError as exc:
             raise BlowUpError("singular half-point average at a station", (exc.index[0], j)) from exc
-        return plan.evaluate(half, inverses, c_minus, [e[j] for e in c_plus])
-
-    def integrate_lines(u_half: list[np.ndarray], j: int) -> list[np.ndarray]:
-        """Solve d_- beta = beta u along column j + 1 with the implicit midpoint rule:
-        the column is the prefix products of its bottom sample and the Cayley transfers."""
-        out = []
-        for grid, u in zip(grids, u_half):
+        u_next = [ua + spec.h_plus * r for ua, r in zip(u, plan.evaluate(half, inverses, c_minus, c_plus))]
+        candidate = []
+        for sample, ua in zip(bottom, u_next):
             try:
-                transfer = _cayley((0.5 * hm) * u)
+                transfer = _cayley((0.5 * spec.h_minus) * ua)
             except SingularMatrixError as exc:
                 raise BlowUpError("singular implicit step", (exc.index[0], j + 1)) from exc
-            out.append(_prefix_products(np.concatenate([grid[None, 0, j + 1], transfer])))
-        return out
-
-    try:
-        u_cur = [_staggered_log_derivative(grid[:, 0], hm) for grid in grids]
-    except SingularMatrixError as exc:
-        raise BlowUpError("singular half-point average on the left line", (exc.index[0], 0)) from exc
-    fixed = [[grid[:, 0] for grid in grids]]  # the corrector's last fixed points, before projection
-    iterations, eta = [], None  # eta = theta / (1 - theta) of the last contraction measured
-    try:
-        for j in range(nj - 1):
-            # the polynomial through the last m + 1 columns, from the bottom sample
-            m = min(j, 4)
-            beta_next = [sum((-1) ** q * math.comb(m + 1, q + 1) * fixed[-1 - q][a] for q in range(m + 1))
-                         for a in range(len(grids))]
-            for grid, start in zip(grids, beta_next):
-                start[0] = grid[0, j + 1]
-            prev_delta, widest, failure = None, (0.0, None), None
-            for sweep in range(_MAX_CORRECTORS):
-                beta_mid = [0.5 * (grid[:, j] + nxt) for grid, nxt in zip(grids, beta_next)]
-                u_next = [u + hp * r for u, r in zip(u_cur, rhs_half(beta_mid, j))]
-                candidate = integrate_lines(u_next, j)
-                delta = _largest([new - old for new, old in zip(candidate, beta_next)])
-                beta_next = candidate
-                scale = 1.0 + _largest(beta_next)
-                if not scale <= widest[0]:  # a NaN scale wins, and its delta fails the corrector
-                    widest = (scale, beta_next)
-                if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
-                                              and delta > _FP_TOL * scale):
-                    failure = f"corrector diverged at column {j + 1} (delta {delta:.3e})"
-                    break
-                if prev_delta is not None and delta > 0.0:  # an exact repeat measures no rate
-                    theta = delta / prev_delta
-                    eta = theta / (1.0 - theta) if theta < 1.0 else None
-                if delta <= _FP_TOL * scale or (
-                        eta is not None and delta * eta ** (0.8 if prev_delta is None else 1.0) <= _FP_TOL * scale):
-                    break
-                prev_delta = delta
-            else:
-                failure = f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
-            if failure:  # a blow-up if the column's widest iterate says so
-                _classify_divergence(widest[1], data_mag, data_inv, j + 1)
-                raise ConvergenceError(failure)
-            iterations.append(sweep + 1)
-            fixed = fixed[-4:] + [beta_next]
-            for grid, column in zip(grids, beta_next):
-                grid[:, j + 1] = column
-            if form is not None:
-                grids[-1][1:, j + 1] = _project_central(form, beta_next[-1][1:])
-            u_cur = u_next
-    except (BlowUpError, ConvergenceError) as exc:  # a degenerate column accepted before is the earlier fault
-        fault = _health_fault(grids, j)
-        if fault is not None:
-            raise fault from exc
-        raise
-    fault = _health_fault(grids, nj - 1)
-    if fault is not None:
-        raise fault
-    field = GridField(spec, tuple(grids))
-    residual = block_residuals(system, field, c)
-    return SolveResult(field, residual, tuple(iterations))
+            candidate.append(_prefix_products(np.concatenate([sample[None], transfer])))
+        delta = _largest([new - old for new, old in zip(candidate, column)])
+        column = candidate
+        scale = 1.0 + _largest(column)
+        if not scale <= widest[0]:  # a NaN scale wins, and its delta fails the corrector
+            widest = (scale, column)
+        if not np.isfinite(delta) or (prev_delta is not None and delta > 4.0 * prev_delta
+                                      and delta > _FP_TOL * scale):
+            failure = f"corrector diverged at column {j + 1} (delta {delta:.3e})"
+            break
+        if prev_delta is not None and delta > 0.0:  # an exact repeat measures no rate
+            theta = delta / prev_delta
+            eta = theta / (1.0 - theta) if theta < 1.0 else None
+        if delta <= _FP_TOL * scale or (
+                eta is not None and delta * eta ** (0.8 if prev_delta is None else 1.0) <= _FP_TOL * scale):
+            return column, u_next, sweep + 1, eta
+        prev_delta = delta
+    else:
+        failure = f"corrector did not contract within {_MAX_CORRECTORS} sweeps at column {j + 1}"
+    _classify_divergence(widest[1], *data_range, j + 1)  # a blow-up if the widest iterate says so
+    raise ConvergenceError(failure)
 
 
 def _largest(arrays) -> float:

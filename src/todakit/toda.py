@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
@@ -424,11 +425,11 @@ class ResidualReport:
     grids: tuple[np.ndarray, ...]
     full_grid: np.ndarray | None = dataclass_field(default=None, repr=False)
 
-    @property
+    @cached_property
     def max_norms(self) -> tuple[float, ...]:
         return tuple(_max_abs(g) for g in self.grids)
 
-    @property
+    @cached_property
     def l2_norms(self) -> tuple[float, ...]:
         """sqrt(h_minus h_plus sum |entry|^2) per grid, summed with the entries
         scaled by their maximum so that it stays finite whenever the maximum is."""

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import todakit as tk
+from todakit import toda
 from todakit.cli import (
     boundary_to_document,
     dumps_deterministic,
@@ -48,6 +49,12 @@ def test_golden_files_are_reproducible():
     sys_c = tk.build_system(tk.SeriesTag("C", 2), (1, 2, 1))
     assert (GOLDEN / "equations_C2_121_structured.json").read_text() == \
         dumps_deterministic(emit_equations(sys_c, "structured")) + "\n"
+    # a constrained system with all four coupling pairs, the dependent two mirrored
+    sys_c3 = tk.build_system(tk.SeriesTag("C", 3), (1, 1, 2, 1, 1))
+    c3 = tk.make_c_blocks(sys_c3, [np.full((1, 1), 0.5), np.full((2, 1), 0.25)],
+                          [np.full((1, 1), 2.0), np.full((1, 2), 0.75)])
+    assert (GOLDEN / "system_C3_11211.json").read_text() == \
+        dumps_deterministic(system_to_document(sys_c3, c3)) + "\n"
 
 
 def test_grade_text(capsys):
@@ -177,6 +184,25 @@ def test_verify_reports_a_huge_finite_residual_as_failure(tmp_path, capsys, fmt)
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "fail"
         assert np.isfinite(out["full_residual"]["l2"]) and out["full_residual"]["max"] > 1e299
+
+
+def test_verify_takes_each_residual_norm_once(capsys, monkeypatch):
+    # the block, full and curvature reports' grids: each reaches _max_abs once,
+    # however many of its norms the finiteness check and the output read
+    seen = []
+    max_abs = toda._max_abs
+
+    def recording(a):
+        seen.append(a)
+        return max_abs(a)
+
+    monkeypatch.setattr(toda, "_max_abs", recording)
+    assert main(["verify", "--system", str(GOLDEN / "system_liouville.json"),
+                 "--grid", str(GOLDEN / "grid_liouville_5x5.json")]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    grids = [a for a in seen if a.ndim == 4]  # (row, column, k, k) residual grids
+    assert len(grids) == 5
+    assert len({id(a) for a in grids}) == len(grids)
 
 
 def test_verify_mismatched_blocks(tmp_path, capsys):
@@ -463,7 +489,8 @@ _READERS = pytest.mark.parametrize("name, argv", [
                                      "--boundary", "{file}", "--out", "{out}"]),
     ("grid_liouville_5x5.json", ["verify", "--system", str(GOLDEN / "system_liouville.json"),
                                  "--grid", "{file}"]),
-], ids=["system", "boundary", "grid"])
+    ("system_C3_11211.json", ["equations", "--system", "{file}"]),
+], ids=["system", "boundary", "grid", "constrained-system"])
 
 
 @_READERS
@@ -481,9 +508,11 @@ def test_mutated_golden_documents_are_invalid_input(tmp_path, capsys, name, argv
     assert len(mutants) > 100 and not failures, failures
 
 
-# the first number of the first float list, and that whole list
+# the first number of the first float list, that whole list, the series and the rank
 _FIRST_NUMBER = re.compile(rb"(?m)^(\s*\[)-?[0-9][0-9.]*")
 _FIRST_FLOATS = re.compile(rb"(?m)^(\s*)\[-?[0-9][^\]\n]*\]")
+_SERIES = re.compile(rb'("series": )"[A-D]"')
+_RANK = re.compile(rb'("rank": )[0-9]+')
 
 
 def _in_place_of(pattern: re.Pattern, text: bytes):
@@ -496,12 +525,12 @@ _LEXICAL_CORRUPTIONS = {
     "literal-Infinity": _in_place_of(_FIRST_NUMBER, b"Infinity"),
     "literal--Infinity": _in_place_of(_FIRST_NUMBER, b"-Infinity"),
     "1e400": _in_place_of(_FIRST_NUMBER, b"1e400"),
-    "lone-surrogate": lambda raw: raw.replace(b'"series": "A"', rb'"series": "\ud800"'),
+    "lone-surrogate": _in_place_of(_SERIES, rb'"\ud800"'),
     "400-digit-float": _in_place_of(_FIRST_NUMBER, b"9" * 400),
-    "30-digit-rank": lambda raw: raw.replace(b'"rank": 1', b'"rank": ' + b"9" * 30),
-    "400-digit-rank": lambda raw: raw.replace(b'"rank": 1', b'"rank": ' + b"9" * 400),
+    "30-digit-rank": _in_place_of(_RANK, b"9" * 30),
+    "400-digit-rank": _in_place_of(_RANK, b"9" * 400),
     "not-utf8": lambda raw: raw.replace(b'"kind"', b'"kind\xff"'),
-    "trailing-comma": lambda raw: raw.replace(b'"series": "A"', b'"series": "A",'),
+    "trailing-comma": lambda raw: _SERIES.sub(lambda m: m[0] + b",", raw, count=1),
     "leading-zero": _in_place_of(_FIRST_NUMBER, b"01.5"),
     "nested-2000": _in_place_of(_FIRST_FLOATS, b"[" * 2000 + b"]" * 2000),
     "nested-200000": _in_place_of(_FIRST_FLOATS, b"[" * 200000 + b"]" * 200000),
