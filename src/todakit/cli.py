@@ -41,7 +41,8 @@ from .toda import (
     GridField,
     GridSpec,
     TodaSystem,
-    _shape_of_c,
+    _c_shapes,
+    _independent_shapes,
     block_residuals,
     build_system,
     connection,
@@ -115,11 +116,11 @@ def _write(obj, indent: int, out: list[str]):
     out.append("\n" + "  " * indent + brackets[1])
 
 
-def dumps_deterministic(obj, indent: int = 0) -> str:
+def dumps_deterministic(obj) -> str:
     """JSON text with sorted keys and ``repr`` floats; a flat float64 array takes one
     line, and a list one item per line.  The pieces are joined once."""
     out: list[str] = []
-    _write(obj, indent, out)
+    _write(obj, 0, out)
     return "".join(out)
 
 
@@ -245,9 +246,8 @@ def system_from_document(doc: dict) -> tuple[TodaSystem, CBlocks]:
         raise ValueError("not a toda-system document")
     tag = SeriesTag(_typed(doc, "series", str, what), _typed(doc, "rank", int, what))
     system = build_system(tag, _int_list(doc, "blocks", what))
-    p = system.blocks.count
-    counts = {system.independent_c_count, p - 1}
-    minus, plus = (_arrays(doc, key, [_shape_of_c(system, sign, a) for a in range(1, p)], what, counts)
+    counts = {system.independent_c_count, system.blocks.count - 1}
+    minus, plus = (_arrays(doc, key, _c_shapes(system, sign), what, counts)
                    for key, sign in (("c_minus", "-"), ("c_plus", "+")))
     return system, make_c_blocks(system, minus, plus)
 
@@ -265,7 +265,7 @@ def grid_from_document(doc: dict, system: TodaSystem) -> GridField:
     count = system.independent_beta_count
     if _int_list(doc, "block_index", what) != list(range(1, count + 1)):
         raise ValueError(f"{what}: block_index must list 1..{count}")
-    shapes = [(spec.n_minus, spec.n_plus, k, k) for k in system.blocks.sizes[:count]]
+    shapes = [(spec.n_minus, spec.n_plus, *shape) for shape in _independent_shapes(system)]
     return GridField(spec, tuple(_arrays(doc, "betas", shapes, what)))
 
 
@@ -279,8 +279,7 @@ def boundary_to_document(system: TodaSystem, data: CharacteristicData) -> dict:
 def boundary_from_document(doc: dict, system: TodaSystem) -> CharacteristicData:
     what = "toda-boundary"
     spec = _checked_header(doc, what, system)
-    sizes = system.blocks.sizes[:system.independent_beta_count]
-    left, bottom = (_arrays(doc, key, [(n, k, k) for k in sizes], what)
+    left, bottom = (_arrays(doc, key, [(n, *shape) for shape in _independent_shapes(system)], what)
                     for key, n in (("left", spec.n_minus), ("bottom", spec.n_plus)))
     return CharacteristicData(spec, tuple(left), tuple(bottom))
 

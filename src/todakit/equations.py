@@ -95,8 +95,7 @@ def _folded_centre(system) -> Term:
 def independent_equations(system) -> list[Equation]:
     """One equation per independent block: the A-series chain, whose central
     equation series B, C and D fold (its first term only)."""
-    p = system.blocks.count
-    count = p if system.constraint_set == "A-none" else (p + 1) // 2
+    p, count = system.blocks.count, system.independent_beta_count
     eqs = [Equation(a, tuple(_generic_terms(a, p))) for a in range(1, count + 1)]
     if count < p:
         eqs[-1] = Equation(count, (_folded_centre(system), *eqs[-1].terms[1:]))

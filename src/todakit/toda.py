@@ -8,11 +8,12 @@ sub/superdiagonals, and residuals of the governing matrix equation are
 evaluated with centered second-order differences on the grid interior.
 A coupling entry is one constant block or one sample per line of its
 chirality; ``_c_samples`` is the one place that tells the two apart.
-Block lists from a caller (couplings, diagonal blocks, gauge factors,
-boundary lines, the samples of a closure and the blocks of a ``GridField``)
-are coerced and checked in ``_block_arrays`` only, an evaluator's couplings
-and field are checked against its system in ``_check_inputs`` only, and
-completed blocks and their inverses come from ``_completed`` only.
+Block lists from a caller (couplings, whether given to ``make_c_blocks`` or
+built by hand, diagonal blocks, gauge factors, boundary lines, the samples of
+a closure and the blocks of a ``GridField``) are coerced and checked in
+``_block_arrays`` only; ``_check_inputs`` passes an evaluator's couplings
+through it and compares the field's shapes with the system's.  Completed
+blocks and their inverses come from ``_completed`` only.
 """
 
 from __future__ import annotations
@@ -165,11 +166,10 @@ class CBlocks:
     plus: tuple[np.ndarray, ...]
 
 
-def _shape_of_c(system: TodaSystem, sign: str, a: int) -> tuple[int, int]:
+def _c_shapes(system: TodaSystem, sign: str) -> list[tuple[int, int]]:
+    """The p - 1 block shapes of the C_- (``sign`` "-") or the C_+ ("+") couplings."""
     sizes = system.blocks.sizes
-    if sign == "-":
-        return (sizes[a], sizes[a - 1])
-    return (sizes[a - 1], sizes[a])
+    return list(zip(sizes[1:], sizes[:-1]) if sign == "-" else zip(sizes[:-1], sizes[1:]))
 
 
 def _mirror_c(system: TodaSystem, signs: np.ndarray, sign: str, a: int, x: np.ndarray) -> np.ndarray:
@@ -199,8 +199,8 @@ def make_c_blocks(system: TodaSystem, minus, plus, tol: float = 1e-12) -> CBlock
     signs = None if form is None else np.fliplr(form).diagonal()
     out = {}
     for sign, entries in (("-", minus), ("+", plus)):
-        full = _block_arrays(entries, [_shape_of_c(system, sign, a) for a in range(1, p)],
-                             f"C_{sign} block", ((), (None,)), {system.independent_c_count, p - 1})
+        full = _block_arrays(entries, _c_shapes(system, sign), f"C_{sign} block", ((), (None,)),
+                             {system.independent_c_count, p - 1})
         complete = len(full) == p - 1
         scale = 1.0 + max((_max_abs(e) for e in full), default=0.0)
         full += [None] * (p - 1 - len(full))
@@ -286,14 +286,12 @@ def _completed(system: TodaSystem, values, check_tol: float | None) -> tuple[lis
     g -> F^{-1} g^{-t} F on a block that lies inside one half of the index
     range, where F's antidiagonal signs are constant and cancel.  With
     ``check_tol`` the central block's self-constraint is checked first."""
-    p = system.blocks.count
-    series_a = system.tag.series == "A"
-    if not series_a and p % 2 == 1 and check_tol is not None:
+    if check_tol is not None and system.central_form() is not None:
         defect = central_defect(system, values[-1])
         if defect > check_tol:
             raise ConstraintError(f"central block violates its self-constraint (defect {defect:.3e})")
     inverses = [batched_inverse(v) for v in values]
-    mirrored = [] if series_a else range(p // 2 - 1, -1, -1)
+    mirrored = range(system.blocks.count - len(values) - 1, -1, -1)
     return ([*values, *(t_transpose(inverses[a]) for a in mirrored)],
             [*inverses, *(t_transpose(values[a]) for a in mirrored)])
 
@@ -358,27 +356,20 @@ class GridField:
 def _check_inputs(system: TodaSystem, c, field, what: str = "field") -> None:
     """A caller's couplings and field checked against ``system``.
 
-    ``c`` must be the system's CBlocks (ValueError) with p - 1 numeric entries
-    per family, each a block of the shape ``_shape_of_c`` gives or a line of
-    them (ShapeError: ``CBlocks`` itself checks nothing), and ``field`` a
-    GridField with one (k, k) block per independent block (ShapeError);
-    ``march`` passes its boundary lines as ``field``, with ``what`` naming
-    them.  Only shapes are compared: GridField and the boundary data checked
-    their entries.
+    ``c`` must be the system's CBlocks (ValueError) whose families pass
+    ``_block_arrays`` with p - 1 entries each, as ndarrays since the evaluators
+    read them as stored; ``field`` must be a GridField with one (k, k) block
+    per independent block (ShapeError).  ``march`` passes its boundary lines as
+    ``field``, with ``what`` naming them; only their shapes are compared, as
+    GridField and the boundary data checked their entries.
     """
     if not (isinstance(c, CBlocks) and c.system == system):
         raise ValueError(f"couplings must be the CBlocks of the system, got {type(c).__name__}")
-    p = system.blocks.count
     for sign, entries in (("-", c.minus), ("+", c.plus)):
-        if not isinstance(entries, (list, tuple)) or len(entries) != p - 1:
-            got = len(entries) if isinstance(entries, (list, tuple)) else type(entries).__name__
-            raise ShapeError(f"couplings must hold {p - 1} C_{sign} blocks, got {got}")
+        _block_arrays(entries, _c_shapes(system, sign), f"C_{sign} block", ((), (None,)))
         for a, entry in enumerate(entries, start=1):
-            shape = _shape_of_c(system, sign, a)
-            if not (isinstance(entry, np.ndarray) and entry.dtype.kind in "iufc"
-                    and entry.ndim in (2, 3) and entry.shape[-2:] == shape):
-                raise ShapeError(f"coupling C_{{{sign}{a}}} must be a numeric {shape} block "
-                                 f"or a line of them, got {getattr(entry, 'shape', type(entry).__name__)}")
+            if not isinstance(entry, np.ndarray):
+                raise ShapeError(f"C_{sign} block {a} must be an ndarray, got {type(entry).__name__}")
     if what == "field":
         if not isinstance(field, GridField):
             raise ShapeError(f"field must be a GridField, got {type(field).__name__}")

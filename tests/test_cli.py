@@ -735,9 +735,9 @@ _documents = st.recursive(
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=_documents, indent=st.integers(0, 2))
-def test_dumps_matches_element_by_element_writer(doc, indent):
-    assert dumps_deterministic(doc, indent) == _reference_dumps(doc, indent)
+@given(doc=_documents)
+def test_dumps_matches_element_by_element_writer(doc):
+    assert dumps_deterministic(doc) == _reference_dumps(doc)
 
 
 @settings(max_examples=100, deadline=None)

@@ -121,13 +121,16 @@ SHORT_FIELD = tk.GridField(SPEC, LIOUVILLE.field.betas[:1])
 LONG_FIELD = tk.GridField(SPEC, LIOUVILLE.field.betas + LIOUVILLE.field.betas[:1])
 bad_field = st.one_of(junk, st.sampled_from([SHORT_FIELD, LONG_FIELD]))
 # couplings of the right system built without make_c_blocks: no entries, 2 x 2
-# entries where the Liouville system has 1 x 1 ones, a family that is no list
+# entries where the Liouville system has 1 x 1 ones, two C_+ entries, a family
+# that is no list, a nested list for an array, a NaN block and an infinite C_+ line
 HAND_C = [
     tk.CBlocks(LIOUVILLE.system, (), ()),
     tk.CBlocks(LIOUVILLE.system, (np.eye(2),), (np.eye(2),)),
     tk.CBlocks(LIOUVILLE.system, LIOUVILLE.c.minus, LIOUVILLE.c.plus * 2),
     tk.CBlocks(LIOUVILLE.system, LIOUVILLE.c.minus, 5),
     tk.CBlocks(LIOUVILLE.system, ([[1.0]],), LIOUVILLE.c.plus),
+    tk.CBlocks(LIOUVILLE.system, (np.array([[np.nan]]),), LIOUVILLE.c.plus),
+    tk.CBlocks(LIOUVILLE.system, LIOUVILLE.c.minus, (np.full((5, 1, 1), np.inf),)),
 ]
 bad_c = st.one_of(junk, st.just(OTHER_C), st.sampled_from(HAND_C))
 UNIT_GAUGE = [np.eye(1), np.eye(1)]
@@ -196,6 +199,15 @@ def test_malformed_input_is_a_value_error(data, slot):
     value = data.draw(strategy, label=slot)
     with pytest.raises(ValueError):
         call(value)
+
+
+@pytest.mark.parametrize("c", HAND_C, ids=range(len(HAND_C)))
+@pytest.mark.parametrize("slot", [*EVALUATORS, "march"])
+def test_every_hand_built_coupling_is_rejected_by_every_evaluator(slot, c):
+    # the drawn test above reaches each HAND_C entry only by chance
+    call = CALLS[f"{slot}.c"][1]
+    with pytest.raises(ValueError):
+        call(c)
 
 
 @pytest.mark.parametrize("call, error", [

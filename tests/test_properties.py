@@ -58,6 +58,27 @@ def test_block_residuals_are_the_diagonal_of_the_full_residual(case, seed):
         assert np.max(np.abs(grid - rf.grids[a])) <= 1e-13 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(CASES), seed=seeds)
+@example(case=SHARED_CENTRAL, seed=0)
+def test_curvature_blocks_are_minus_the_residual_on_the_diagonal_and_zero_off_it(case, seed):
+    """The flatness defect's diagonal blocks are minus the full residual's, and
+    only its diagonal and superdiagonal blocks can be nonzero."""
+    system = build_case(*case)
+    rng = np.random.default_rng(seed)
+    spec = tk.GridSpec(0.0, 0.0, 0.11, 0.13, 6, 6)
+    field = tk.field_from_closure(system, spec, smooth_closure(system, rng))
+    c = random_couplings(system, rng)
+    rf = tk.residual_full(system, field, c)
+    curv = tk.curvature_residual(*tk.connection(system, field, c), spec).full_grid
+    slices = system.blocks.slices()
+    for a, rows in enumerate(slices):
+        assert np.max(np.abs(curv[..., rows, rows] + rf.grids[a])) <= 1e-13 * rf.max_norm
+        for b, cols in enumerate(slices):
+            if b not in (a, a + 1):
+                assert not np.any(curv[..., rows, cols])
+
+
 @settings(max_examples=40, deadline=None)
 @given(case=st.sampled_from(CASES), seed=seeds)
 @example(case=SHARED_CENTRAL, seed=0)
